@@ -48,6 +48,7 @@ from .evolution import (
     l1_norm,
     oracle_characteristics,
     propagate,
+    propagate_many,
 )
 from .spectral import (
     ConvergenceTrace,
@@ -79,6 +80,7 @@ __all__ = [
     "make_junction", "validate_stochastic", "support_pattern",
     "regularity_diagnostic",
     "InitialData", "EdgeDensityField", "evaluate_evolution", "propagate",
+    "propagate_many",
     "l1_norm", "boundary_residual", "oracle_characteristics",
     "initial_from_evolution",
     "PeriodReport", "ConvergenceTrace", "peripheral_count", "asymptotic_period",

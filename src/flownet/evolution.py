@@ -12,13 +12,24 @@ The solver evaluates the closed form
 valid for 1-periodic column-stochastic schedules: every boundary crossing of
 a characteristic happens at times congruent mod 1, so one matrix power covers
 all k crossings. An independent first-order upwind oracle cross-checks it.
+
+Many query times share work through the one-period recurrence. Two times
+that differ by a whole number of periods see the same phase (t + x) mod 1 at
+every grid point, hence the same A, and u(x, t + n) = A^n u(x, t).
+propagate_many groups its times into chains: a time joins a chain only when
+its grid phases and its data points xi = x + t - s - k are bitwise equal to
+the chain's, which are exactly the arrays the closed form would use. The
+first time of a chain is evaluated by propagate; every later one advances
+the chain's state, at a cost of one mat-vec per grid point per period, or
+one matrix power when the gap is long enough for powering to be cheaper.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -137,17 +148,30 @@ def midpoints(n: int) -> np.ndarray:
 
 
 def _stack_power(stack: np.ndarray, k: int) -> np.ndarray:
-    """k-th power of each matrix in a (r, m, m) stack by binary exponentiation."""
+    """k-th power of each matrix in a (r, m, m) stack by binary exponentiation.
+
+    The input is neither copied nor modified; k == 1 returns it as is, and
+    k == 0 returns a read-only broadcast identity.
+    """
     r, m, _ = stack.shape
-    result = np.broadcast_to(np.eye(m), (r, m, m)).copy()
-    base = stack.copy()
-    while k:
+    if k == 0:
+        return np.broadcast_to(np.eye(m), (r, m, m))
+    result = None
+    base = stack
+    while True:
         if k & 1:
-            result = base @ result
+            result = base if result is None else base @ result
         k >>= 1
-        if k:
-            base = base @ base
-    return result
+        if not k:
+            return result
+        base = base @ base
+
+
+def _characteristics(xs: np.ndarray, s: float, t: float):
+    """(schedule phases, boundary crossings k, data points xi) of the closed form at xs."""
+    z = xs + (t - s)
+    ks = np.floor(z).astype(np.int64)
+    return np.mod(t + xs, 1.0), ks, z - ks
 
 
 def _evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, xs: np.ndarray) -> np.ndarray:
@@ -159,15 +183,15 @@ def _evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, xs: np.nda
         raise EvolutionError("positions must lie in [0, 1]")
     if f.m != M.dim:
         raise EvolutionError(f"initial data has {f.m} edges, matrix has {M.dim}")
-    z = xs + (t - s)
-    ks = np.floor(z).astype(np.int64)
-    xi = z - ks
-    stack = M.at_times(np.mod(t + xs, 1.0))
+    phases, ks, xi = _characteristics(xs, s, t)
+    stack = M.at_times(phases)
     fv = f.evaluate(xi)
     out = np.empty_like(fv)
     for k in np.unique(ks):
         sel = ks == k
-        powered = _stack_power(stack[sel], int(k))
+        # When every position crosses equally often (say, t - s an integer
+        # on the midpoint grid), the group is the whole stack: no gathered copy.
+        powered = _stack_power(stack if sel.all() else stack[sel], int(k))
         out[:, sel] = np.einsum("rij,jr->ir", powered, fv[:, sel])
     return out
 
@@ -187,6 +211,83 @@ def propagate(
         raise EvolutionError(f"resolution must be at least 1, got {N}")
     values = _evolve(M, f, s, t, midpoints(N))
     return EdgeDensityField(values=values, resolution=N, time=float(t), origin=float(s))
+
+
+@dataclass
+class _Chain:
+    """Running state of the times that share one phase and data-point array."""
+
+    k: int  # crossings of the state at grid point 0
+    values: np.ndarray
+    # The one-period stack A as columns[j, i, r] = A(phase_r)[i, j]: the
+    # layout in which one mat-vec per grid point streams contiguously.
+    columns: np.ndarray | None = None
+
+
+def propagate_many(
+    M: TimeVaryingMatrix, f: InitialData, s: float, times: Iterable[float], N: int
+) -> Iterator[EdgeDensityField]:
+    """The fields propagate would give at each of the non-decreasing times, in order.
+
+    Times are grouped into chains of bitwise-equal grid phases and data points
+    (see the module docstring); a chain's state and one-period stack are
+    dropped right after its last time, so memory is bounded by the chains
+    that are still open. Each yielded field owns its values.
+    """
+    if N < 1:
+        raise EvolutionError(f"resolution must be at least 1, got {N}")
+    times = [float(t) for t in times]
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise EvolutionError("query times must be non-decreasing")
+    if times and times[0] < s:
+        raise EvolutionError(f"query time {times[0]} precedes start time {s}")
+    xs = midpoints(N)
+    # First pass: the chain of each time, keyed by a SHA-256 digest of its
+    # phase and data-point arrays; the crossings at grid point 0 (within a
+    # chain every point crosses equally often); each chain's last use.
+    plan = []
+    last_use = {}
+    for i, t in enumerate(times):
+        phases, ks, xi = _characteristics(xs, s, t)
+        h = hashlib.sha256(phases)
+        h.update(xi)
+        key = h.digest()
+        plan.append((key, int(ks[0])))
+        last_use[key] = i
+
+    def stream() -> Iterator[EdgeDensityField]:
+        chains: dict[bytes, _Chain] = {}
+        for i, (t, (key, k)) in enumerate(zip(times, plan)):
+            last = last_use[key] == i
+            chain = chains.get(key)
+            if chain is None:
+                field = propagate(M, f, s, t, N)
+                if not last:
+                    chains[key] = _Chain(k, field.values.copy())
+                yield field
+                continue
+            n = k - chain.k
+            if n:
+                if chain.columns is None:
+                    stack = M.at_times(_characteristics(xs, s, t)[0])
+                    chain.columns = np.ascontiguousarray(stack.transpose(2, 1, 0))
+                # n mat-vecs (m^2 each) against one binary power of the
+                # stack (m^3 per product), whichever multiplies less.
+                if n <= (n.bit_length() + n.bit_count() - 1) * M.dim:
+                    for _ in range(n):
+                        chain.values = np.einsum("jir,jr->ir", chain.columns, chain.values)
+                else:
+                    powered = _stack_power(chain.columns.transpose(2, 1, 0), n)
+                    chain.values = np.einsum("rij,jr->ir", powered, chain.values)
+                chain.k = k
+            if last:
+                del chains[key]
+                values = chain.values
+            else:
+                values = chain.values.copy()
+            yield EdgeDensityField(values=values, resolution=N, time=t, origin=float(s))
+
+    return stream()
 
 
 def initial_from_evolution(

@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisError, SpectralError
-from .evolution import InitialData, propagate
+from .evolution import InitialData, propagate_many
 from .graph import LineGraphAdjacency, cyclic_index, is_strongly_connected
 from .schedules import TimeVaryingMatrix, support_pattern
 
@@ -199,9 +200,13 @@ def convergence_diagnostic(
 
     delta(t) is the total integrated absolute difference between the states
     at times t and t + tau, both propagated from the same initial data. The
-    asymptotics predict delta -> 0 exponentially when tau is the true period;
-    the fitted log-linear rate is reported as evidence, never asserted
-    against a theoretical value (none is available).
+    asymptotics predict delta -> 0 exponentially when tau is the true period,
+    at rate max over phases phi of |lambda_2(A(phi))|, the subdominant
+    eigenvalue modulus of the schedule; that rate is not computed here, and
+    the fitted log-linear rate is reported as evidence, never asserted.
+
+    The states stream from propagate_many in time order; a state is kept only
+    while its t + tau partner is still to come.
     """
     if horizon < 2 * tau:
         raise HypothesisError(f"horizon {horizon} must be at least 2*tau = {2 * tau}")
@@ -212,19 +217,22 @@ def convergence_diagnostic(
     while s + j * stride <= s + horizon + 1e-12:
         base_times.append(s + j * stride)
         j += 1
-    fields: dict[float, np.ndarray] = {}
-
-    def state(time: float) -> np.ndarray:
-        if time not in fields:
-            fields[time] = propagate(M, f, s, time, N).values
-        return fields[time]
-
-    elapsed = []
-    deviation = []
-    for t in base_times:
-        diff = state(t + tau) - state(t)
-        deviation.append(float(np.abs(diff).sum() / N))
-        elapsed.append(t - s)
+    partners: dict[float, list[int]] = {}
+    for i, t in enumerate(base_times):
+        partners.setdefault(t + tau, []).append(i)
+    waiting = Counter(base_times)
+    held: dict[float, np.ndarray] = {}
+    deviation = [0.0] * len(base_times)
+    for field in propagate_many(M, f, s, sorted(waiting.keys() | partners.keys()), N):
+        if field.time in waiting:
+            held[field.time] = field.values
+        for i in partners.get(field.time, ()):
+            t = base_times[i]
+            deviation[i] = float(np.abs(field.values - held[t]).sum() / N)
+            waiting[t] -= 1
+            if not waiting[t]:
+                del held[t]
+    elapsed = [t - s for t in base_times]
 
     positive = [(e, d) for e, d in zip(elapsed, deviation) if d > 0.0]
     rate = None
