@@ -20,8 +20,9 @@ propagate_many groups its times into chains: a time joins a chain only when
 its grid phases and its data points xi = x + t - s - k are bitwise equal to
 the chain's, which are exactly the arrays the closed form would use. The
 first time of a chain is evaluated by propagate; every later one advances
-the chain's state, at a cost of one mat-vec per grid point per period, or
-one matrix power when the gap is long enough for powering to be cheaper.
+the chain's state, at a cost of one mat-vec per grid point per period. A
+gap long enough for the closed form's matrix power to multiply less than
+its mat-vecs goes through propagate instead and heads the chain anew.
 """
 
 from __future__ import annotations
@@ -260,25 +261,25 @@ def propagate_many(
         for i, (t, (key, k)) in enumerate(zip(times, plan)):
             last = last_use[key] == i
             chain = chains.get(key)
-            if chain is None:
+            n = 0 if chain is None else k - chain.k
+            # n mat-vecs (m^2 each) unless the closed form's binary power
+            # (m^3 per product) multiplies less; then the time heads the chain anew.
+            if chain is None or n > (n.bit_length() + n.bit_count() - 1) * M.dim:
                 field = propagate(M, f, s, t, N)
-                if not last:
+                if last:
+                    chains.pop(key, None)
+                elif chain is None:
                     chains[key] = _Chain(k, field.values.copy())
+                else:
+                    chain.k, chain.values = k, field.values.copy()
                 yield field
                 continue
-            n = k - chain.k
             if n:
                 if chain.columns is None:
                     stack = M.at_times(_characteristics(xs, s, t)[0])
                     chain.columns = np.ascontiguousarray(stack.transpose(2, 1, 0))
-                # n mat-vecs (m^2 each) against one binary power of the
-                # stack (m^3 per product), whichever multiplies less.
-                if n <= (n.bit_length() + n.bit_count() - 1) * M.dim:
-                    for _ in range(n):
-                        chain.values = np.einsum("jir,jr->ir", chain.columns, chain.values)
-                else:
-                    powered = _stack_power(chain.columns.transpose(2, 1, 0), n)
-                    chain.values = np.einsum("rij,jr->ir", powered, chain.values)
+                for _ in range(n):
+                    chain.values = np.einsum("jir,jr->ir", chain.columns, chain.values)
                 chain.k = k
             if last:
                 del chains[key]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,21 +216,18 @@ def convergence_diagnostic(
     while s + j * stride <= s + horizon + 1e-12:
         base_times.append(s + j * stride)
         j += 1
-    partners: dict[float, list[int]] = {}
-    for i, t in enumerate(base_times):
-        partners.setdefault(t + tau, []).append(i)
-    waiting = Counter(base_times)
+    # base_times strictly increases, so each t + tau has exactly one base time.
+    base = set(base_times)
+    partner = {t + tau: t for t in base_times}
     held: dict[float, np.ndarray] = {}
-    deviation = [0.0] * len(base_times)
-    for field in propagate_many(M, f, s, sorted(waiting.keys() | partners.keys()), N):
-        if field.time in waiting:
+    by_time: dict[float, float] = {}
+    for field in propagate_many(M, f, s, sorted(base | partner.keys()), N):
+        if field.time in base:
             held[field.time] = field.values
-        for i in partners.get(field.time, ()):
-            t = base_times[i]
-            deviation[i] = float(np.abs(field.values - held[t]).sum() / N)
-            waiting[t] -= 1
-            if not waiting[t]:
-                del held[t]
+        if field.time in partner:
+            t = partner[field.time]
+            by_time[t] = float(np.abs(field.values - held.pop(t)).sum() / N)
+    deviation = [by_time[t] for t in base_times]
     elapsed = [t - s for t in base_times]
 
     positive = [(e, d) for e, d in zip(elapsed, deviation) if d > 0.0]

@@ -50,12 +50,14 @@ def random_setup(seed: int):
 
 
 # Whole periods (mat-vec steps), half-period residues (new chains), a long
-# gap (one matrix power) and repeated times. Chains break where x + t - s
+# gap (a closed form that heads its chain anew) and repeated times. Chains break where x + t - s
 # crosses a power of two, so a 1000 gap from 2048 on mostly stays in one.
 STEPS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 1000.0])
 
 
-@settings(max_examples=60)
+# Derandomized so every run draws the same examples; no deadline, because an
+# example's wall time depends on the machine's load.
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     s=st.sampled_from([0.0, 0.25, 0.3, 1.75]),
@@ -76,18 +78,18 @@ def test_propagate_many_agrees_with_propagate(seed, s, first, steps):
 def test_propagate_many_uses_one_closed_form_per_chain(monkeypatch):
     M = assemble_weighted_adjacency(helpers.example1_graph(), helpers.EXAMPLE1_WEIGHTS)
     f = InitialData.constant([1.0] * 6)
-    heads, powers = [], []
-    closed_form, power = evolution.propagate, evolution._stack_power
+    heads = []
+    closed_form = evolution.propagate
     monkeypatch.setattr(evolution, "propagate", lambda *a: heads.append(a[3]) or closed_form(*a))
     list(propagate_many(M, f, 0.0, [float(t) for t in range(201)], 400))
     # xi = x + t - floor(x + t) changes its rounding each time t passes a power of two
     assert heads == [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
 
     heads.clear()
-    monkeypatch.setattr(evolution, "_stack_power", lambda *a: powers.append(a[1]) or power(*a))
-    list(propagate_many(M, f, 0.0, [1030.0, 1031.0, 2031.0], 400))
-    # the head's closed form, one mat-vec for the next period, one power for the gap
-    assert heads == [1030.0] and powers == [1030, 1000]
+    list(propagate_many(M, f, 0.0, [1030.0, 1031.0, 1037.0, 2031.0, 2032.0], 400))
+    # mat-vecs for short gaps; the 994-period gap is cheaper by the closed
+    # form, which heads the chain anew, and the chain goes on from there
+    assert heads == [1030.0, 2031.0]
 
 
 def test_propagate_many_fields_own_their_values():
