@@ -262,9 +262,10 @@ def propagate_many(
             last = last_use[key] == i
             chain = chains.get(key)
             n = 0 if chain is None else k - chain.k
-            # n mat-vecs (m^2 each) unless the closed form's binary power
-            # (m^3 per product) multiplies less; then the time heads the chain anew.
-            if chain is None or n > (n.bit_length() + n.bit_count() - 1) * M.dim:
+            # n mat-vecs (m^2 each) unless the closed form's binary power to
+            # k (m^3 per product) multiplies less; then the time heads the
+            # chain anew. A repeated time (n == 0) reuses the chain's state.
+            if chain is None or n > max(1, k.bit_length() + k.bit_count() - 1) * M.dim:
                 field = propagate(M, f, s, t, N)
                 if last:
                     chains.pop(key, None)

@@ -87,9 +87,15 @@ def test_propagate_many_uses_one_closed_form_per_chain(monkeypatch):
 
     heads.clear()
     list(propagate_many(M, f, 0.0, [1030.0, 1031.0, 1037.0, 2031.0, 2032.0], 400))
-    # mat-vecs for short gaps; the 994-period gap is cheaper by the closed
-    # form, which heads the chain anew, and the chain goes on from there
+    # mat-vecs for short gaps; for the 994-period gap the closed form's power
+    # to k = 2031 is cheaper, so it heads the chain anew, and the chain goes
+    # on from there
     assert heads == [1030.0, 2031.0]
+
+    heads.clear()
+    list(propagate_many(M, f, 0.0, [0.0, 0.0, 5.0, 5.0, 6.0], 400))
+    # repeated times reuse their chain's state
+    assert heads == [0.0, 5.0]
 
 
 def test_propagate_many_fields_own_their_values():
