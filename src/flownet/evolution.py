@@ -10,8 +10,11 @@ The solver evaluates the closed form
     u(x, t) = A^k f(x + t - s - k),   A = M((t + x) mod 1),  k = floor(x + t - s),
 
 valid for 1-periodic column-stochastic schedules: every boundary crossing of
-a characteristic happens at times congruent mod 1, so one matrix power covers
-all k crossings. An independent first-order upwind oracle cross-checks it.
+a characteristic happens at times congruent mod 1, so all k crossings apply
+the same A and only the vector A^k f is needed: positions above the least k0
+take their one or two extra mat-vecs, then binary powering on the vector
+costs bit_length(k0) - 1 squarings (m^3) and popcount(k0) mat-vecs (m^2) per
+grid point. An independent first-order upwind oracle cross-checks it.
 
 Many query times share work through the one-period recurrence. Two times
 that differ by a whole number of periods see the same phase (t + x) mod 1 at
@@ -21,13 +24,12 @@ its grid phases and its data points xi = x + t - s - k are bitwise equal to
 the chain's, which are exactly the arrays the closed form would use. The
 first time of a chain is evaluated by propagate; every later one advances
 the chain's state, at a cost of one mat-vec per grid point per period. A
-gap long enough for the closed form's matrix power to multiply less than
-its mat-vecs goes through propagate instead and heads the chain anew.
+gap of n periods to k crossings heads the chain anew through propagate when
+n > (bit_length(k) - 1) * m + popcount(k), the closed form's cost in mat-vecs.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -132,40 +134,23 @@ class EdgeDensityField:
 
     def write_csv(self, path) -> None:
         """Rows `edge,x,value,t,s`, one per (edge, grid point)."""
-        xs = self.grid()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["edge", "x", "value", "t", "s"])
-            for j in range(self.m):
-                for r in range(self.resolution):
-                    writer.writerow(
-                        [j + 1, repr(float(xs[r])), repr(float(self.values[j, r])),
-                         repr(self.time), repr(self.origin)]
-                    )
+        xs = [repr(x) for x in self.grid().tolist()]
+        tail = f",{self.time!r},{self.origin!r}\r\n"
+        rows = ("".join([f"{j},{x},{v!r}{tail}" for x, v in zip(xs, row.tolist())])
+                for j, row in enumerate(self.values, start=1))
+        write_csv_rows(path, "edge,x,value,t,s", rows)
+
+
+def write_csv_rows(path, header: str, blocks: Iterable[str]) -> None:
+    """The header, then blocks of whole rows ending in \\r\\n, as csv.writer
+    would write them: fields formatted by repr need no quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(blocks)
 
 
 def midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
-
-
-def _stack_power(stack: np.ndarray, k: int) -> np.ndarray:
-    """k-th power of each matrix in a (r, m, m) stack by binary exponentiation.
-
-    The input is neither copied nor modified; k == 1 returns it as is, and
-    k == 0 returns a read-only broadcast identity.
-    """
-    r, m, _ = stack.shape
-    if k == 0:
-        return np.broadcast_to(np.eye(m), (r, m, m))
-    result = None
-    base = stack
-    while True:
-        if k & 1:
-            result = base if result is None else base @ result
-        k >>= 1
-        if not k:
-            return result
-        base = base @ base
 
 
 def _characteristics(xs: np.ndarray, s: float, t: float):
@@ -185,15 +170,24 @@ def _evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, xs: np.nda
     if f.m != M.dim:
         raise EvolutionError(f"initial data has {f.m} edges, matrix has {M.dim}")
     phases, ks, xi = _characteristics(xs, s, t)
-    stack = M.at_times(phases)
-    fv = f.evaluate(xi)
-    out = np.empty_like(fv)
-    for k in np.unique(ks):
-        sel = ks == k
-        # When every position crosses equally often (say, t - s an integer
-        # on the midpoint grid), the group is the whole stack: no gathered copy.
-        powered = _stack_power(stack if sel.all() else stack[sel], int(k))
-        out[:, sel] = np.einsum("rij,jr->ir", powered, fv[:, sel])
+    out = f.evaluate(xi)
+    if not ks.any():  # the start-time state: A^0 is the identity
+        return out
+    # Positions above k0 (by one, or two where rounding moves x = 0 and x = 1
+    # across crossings) take extra mat-vecs on the whole stack, gathering no
+    # rows; then all take A^k0 by binary powering on the vector, in two stacks.
+    base = M.at_times(phases)
+    k0 = int(ks.min())
+    for above in range(k0 + 1, int(ks.max()) + 1):
+        extra = ks >= above
+        out[:, extra] = np.einsum("rij,jr->ir", base, out)[:, extra]
+    spare = None
+    while k0:
+        if k0 & 1:
+            out = np.einsum("rij,jr->ir", base, out)
+        k0 >>= 1
+        if k0:
+            base, spare = np.matmul(base, base, out=spare), base
     return out
 
 
@@ -262,10 +256,10 @@ def propagate_many(
             last = last_use[key] == i
             chain = chains.get(key)
             n = 0 if chain is None else k - chain.k
-            # n mat-vecs (m^2 each) unless the closed form's binary power to
-            # k (m^3 per product) multiplies less; then the time heads the
-            # chain anew. A repeated time (n == 0) reuses the chain's state.
-            if chain is None or n > max(1, k.bit_length() + k.bit_count() - 1) * M.dim:
+            # n mat-vecs (m^2 each) unless the closed form's bit_length(k) - 1
+            # squarings (m^3 each) and popcount(k) mat-vecs multiply less; then
+            # the time heads the chain anew. A repeated time reuses the state.
+            if chain is None or n > max(0, k.bit_length() - 1) * M.dim + k.bit_count():
                 field = propagate(M, f, s, t, N)
                 if last:
                     chains.pop(key, None)
@@ -292,15 +286,25 @@ def propagate_many(
     return stream()
 
 
+@dataclass(frozen=True)
+class _EvolvedData(InitialData):
+    """The state at time t of the flow from f at s; evaluate evolves once for all edges."""
+
+    M: TimeVaryingMatrix
+    f: InitialData
+    s: float
+    t: float
+
+    def evaluate(self, x) -> np.ndarray:
+        return _evolve(self.M, self.f, self.s, self.t, x)
+
+
 def initial_from_evolution(
     M: TimeVaryingMatrix, f: InitialData, s: float, t: float
 ) -> InitialData:
     """The state at time t, exactly samplable, for restarting the evolution."""
-
-    def profile(j: int) -> CallableProfile:
-        return CallableProfile(lambda x, j=j: _evolve(M, f, s, t, x)[j])
-
-    return InitialData(tuple(profile(j) for j in range(f.m)))
+    edges = (CallableProfile(lambda x, j=j: _evolve(M, f, s, t, x)[j]) for j in range(f.m))
+    return _EvolvedData(tuple(edges), M, f, s, t)
 
 
 def l1_norm(u: EdgeDensityField) -> tuple[np.ndarray, float]:

@@ -10,7 +10,6 @@ the same number, which the tests cross-check.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, SpectralError
-from .evolution import InitialData, propagate_many
+from .evolution import InitialData, propagate_many, write_csv_rows
 from .graph import LineGraphAdjacency, cyclic_index, is_strongly_connected
 from .schedules import TimeVaryingMatrix, support_pattern
 
@@ -179,11 +178,8 @@ class ConvergenceTrace:
         }
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "delta"])
-            for t, d in zip(self.elapsed, self.deviation):
-                writer.writerow([repr(t), repr(d)])
+        write_csv_rows(path, "t,delta",
+                       (f"{t!r},{d!r}\r\n" for t, d in zip(self.elapsed, self.deviation)))
 
 
 def convergence_diagnostic(

@@ -156,6 +156,25 @@ def random_flow_weights(rng: random.Random, g) -> dict[tuple[int, int], str]:
     return weights
 
 
+def ring_network(rng: random.Random, n: int):
+    """(graph, weights) of a ring on n >= 5 vertices with 3n edges.
+
+    Vertex i sends c_i*cos(pi*t)^2 along the forward ring i -> i+1,
+    c_i*sin(pi*t)^2 along the reverse ring i -> i-1 and the constant 1 - c_i
+    along the chord i -> i+2, with c_i a random multiple of 1/20.
+    """
+    edges = [(i, i % n + 1) for i in range(1, n + 1)]
+    edges += [(i % n + 1, i) for i in range(1, n + 1)]
+    edges += [(i, (i + 1) % n + 1) for i in range(1, n + 1)]
+    weights: dict[tuple[int, int], str] = {}
+    for i in range(1, n + 1):
+        c = rng.randint(6, 16) / 20
+        weights[(i, i)] = f"{c!r}*cos(pi*t)^2"
+        weights[(i, n + (i - 2) % n + 1)] = f"{c!r}*sin(pi*t)^2"
+        weights[(i, 2 * n + i)] = repr(1 - c)
+    return build_graph(edges, n), weights
+
+
 def random_piecewise_initial(rng: random.Random, m: int, cells: int) -> dict:
     """Nonnegative piecewise-constant profiles with breakpoints on the cell grid."""
     initial = {}

@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from flownet import (
     oracle_characteristics,
     propagate,
 )
-from flownet.evolution import PiecewiseProfile, midpoints
+from flownet import evolution
+from flownet.evolution import PiecewiseProfile, _evolve, midpoints
 
 
 def example1_setup():
@@ -282,6 +285,76 @@ def test_cocycle_property_exact():
             restart = initial_from_evolution(M, f, s, t1)
             composed = propagate(M, restart, t1, t2, 100)
             assert np.abs(direct.values - composed.values).max() <= 1e-12, name
+
+
+def test_evolve_matches_matrix_power_times_vector():
+    rng = random.Random(2024)
+    g = helpers.random_strong_graph(rng, max_m=8)
+    M = assemble_weighted_adjacency(g, helpers.random_flow_weights(rng, g))
+    f = smooth_initial(g.m)
+    s = 0.3
+    xs = np.asarray([0.0, 0.1, 0.49, 0.5, 0.77, 1.0])
+    spreads = set()
+    for k in range(71):
+        # t - s whole: only x = 1.0 crosses k + 1 times; t - s = k + 1/2: the
+        # upper half of the edge does.
+        for t in (s + k, s + k + 0.5):
+            got = _evolve(M, f, s, t, xs)
+            ks = []
+            for r, x in enumerate(xs):
+                z = x + (t - s)  # the closed form's own rounding
+                crossings = math.floor(z)
+                ks.append(crossings)
+                A = M.at(float(np.mod(t + x, 1.0)))
+                v = f.evaluate([z - crossings])[:, 0]
+                expected = np.linalg.matrix_power(A, crossings) @ v
+                assert np.abs(got[:, r] - expected).max() <= 1e-12, (k, t, x)
+            spreads.add(max(ks) - min(ks))
+    # Where t - s falls just below an integer, rounding gives x = 0 one
+    # crossing fewer and x = 1 one more: three groups.
+    assert spreads == {1, 2}
+
+
+def test_evolve_memory_stays_within_two_stacks():
+    g, weights = helpers.ring_network(random.Random(5), 8)
+    M = assemble_weighted_adjacency(g, weights)
+    f = smooth_initial(g.m)
+    N = 2000
+    xs = midpoints(N)
+    stack_bytes = N * g.m * g.m * 8
+    _evolve(M, f, 0.0, 3.5, xs)  # one-time allocations are not charged below
+    for t, bound in ((1000.5, 2.25), (1000.0, 2.25), (0.0, 0.25)):
+        tracemalloc.start()
+        try:
+            _evolve(M, f, 0.0, t, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * stack_bytes, (t, peak / stack_bytes)
+
+
+def test_start_time_state_needs_no_schedule(monkeypatch):
+    M, _ = example1_setup()
+    f = smooth_initial(6)
+
+    def no_schedule(self, ts):
+        raise AssertionError("the start-time state evaluated the schedule")
+
+    monkeypatch.setattr(type(M), "at_times", no_schedule)
+    xs = midpoints(257)
+    assert np.array_equal(_evolve(M, f, 0.0, 0.0, xs), f.evaluate(xs))
+
+
+def test_initial_from_evolution_evolves_once_per_evaluate(monkeypatch):
+    M, _ = example1_setup()
+    f = smooth_initial(6)
+    restart = initial_from_evolution(M, f, 0.2, 3.7)
+    xs = midpoints(40)
+    expected = np.stack([p(xs) for p in restart.profiles])
+    calls = []
+    monkeypatch.setattr(evolution, "_evolve", lambda *a: calls.append(a) or _evolve(*a))
+    assert np.array_equal(restart.evaluate(xs), expected)
+    assert len(calls) == 1
 
 
 def test_field_csv_round_trip(tmp_path):

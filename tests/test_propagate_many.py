@@ -14,26 +14,7 @@ from flownet import (
     propagate_many,
 )
 from flownet import evolution
-from flownet.evolution import PiecewiseProfile, _stack_power, midpoints
-
-
-def random_stochastic_stack(rng: np.random.Generator, r: int, m: int) -> np.ndarray:
-    stack = rng.random((r, m, m))
-    return stack / stack.sum(axis=1, keepdims=True)
-
-
-def test_stack_power_matches_matrix_power_without_touching_input():
-    rng = np.random.default_rng(7)
-    for k in range(71):
-        stack = random_stochastic_stack(rng, 5, 1 + k % 6)
-        before = stack.copy()
-        powered = _stack_power(stack, k)
-        expected = np.stack([np.linalg.matrix_power(a, k) for a in stack])
-        np.testing.assert_allclose(powered, expected, rtol=0.0, atol=1e-14)
-        assert np.array_equal(stack, before)
-    identity = _stack_power(stack, 0)
-    assert not identity.flags.writeable
-    assert np.array_equal(identity, np.broadcast_to(np.eye(stack.shape[1]), stack.shape))
+from flownet.evolution import PiecewiseProfile, midpoints
 
 
 def random_setup(seed: int):
