@@ -105,9 +105,8 @@ def cmd_simulate(args) -> int:
 def cmd_period(args) -> int:
     sc = _load(args)
     _ensure_valid(sc, args)
-    times = _sample_times(sc, args)
-    report = asymptotic_period(sc.matrix, times, sc.tolerances.zero)
-    shortcut = strictly_positive_shortcut(sc.matrix, times, sc.tolerances.zero)
+    report = asymptotic_period(sc.matrix, _sample_times(sc, args), sc.tolerances.zero)
+    shortcut = strictly_positive_shortcut(sc.matrix, report)
     payload = report.to_json()
     payload["shortcut_applicable"] = shortcut is not None
     payload["shortcut_tau"] = shortcut

@@ -8,7 +8,6 @@ the tail of e_i. All downstream matrix-vector products assume this orientation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,97 +84,53 @@ def line_graph_adjacency(g: NetworkGraph) -> LineGraphAdjacency:
     return LineGraphAdjacency(b=b)
 
 
-def _successors(b: np.ndarray):
-    """Successor lists of the edge-node digraph: j -> i whenever b[i][j] = 1."""
-    m = b.shape[0]
-    return [np.nonzero(b[:, j])[0].tolist() for j in range(m)]
+def _matrix(adj: LineGraphAdjacency | np.ndarray) -> np.ndarray:
+    return adj.b if isinstance(adj, LineGraphAdjacency) else np.asarray(adj)
 
 
-def _tarjan_scc_count(succ) -> int:
-    """Number of strongly connected components (iterative Tarjan)."""
-    m = len(succ)
-    index = [-1] * m
-    lowlink = [0] * m
-    on_stack = [False] * m
-    stack: list[int] = []
-    count = 0
-    next_index = 0
-    for root in range(m):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = next_index
-                next_index += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                count += 1
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == v:
-                        break
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return count
+def _bfs_levels(b: np.ndarray) -> np.ndarray:
+    """BFS level of every edge node from node 0 along arcs j -> i (b[i][j] != 0).
+
+    Unreached nodes keep level -1.
+    """
+    level = np.full(b.shape[0], -1)
+    level[0] = 0
+    frontier = np.array([0])
+    depth = 0
+    while frontier.size:
+        depth += 1
+        frontier = np.nonzero(b[:, frontier].any(axis=1) & (level < 0))[0]
+        level[frontier] = depth
+    return level
 
 
 def is_strongly_connected(adj: LineGraphAdjacency | np.ndarray) -> bool:
     """True iff b is irreducible, i.e. the edge-node digraph is a single SCC.
 
-    A 1x1 matrix counts as irreducible only with a self-loop (b = [[1]]); the
-    zero 1x1 matrix has no cycles and is treated as reducible.
+    Checked by BFS reachability from node 0, forward along the arcs and
+    backward against them: the digraph is strongly connected iff both reach
+    every node. A 1x1 matrix counts as irreducible only with a self-loop
+    (b = [[1]]); the zero 1x1 matrix has no cycles and is treated as
+    reducible.
     """
-    b = adj.b if isinstance(adj, LineGraphAdjacency) else np.asarray(adj)
+    b = _matrix(adj)
     m = b.shape[0]
-    if m == 1:
-        return bool(b[0, 0] != 0)
-    return _tarjan_scc_count(_successors(b)) == 1
+    if m <= 1:
+        return m == 1 and bool(b[0, 0] != 0)
+    return bool((_bfs_levels(b) >= 0).all() and (_bfs_levels(b.T) >= 0).all())
 
 
 def cyclic_index(adj: LineGraphAdjacency | np.ndarray) -> int:
     """Index of imprimitivity: gcd of the lengths of all directed cycles.
 
-    Requires an irreducible matrix. Computed by BFS level labeling from an
-    arbitrary node: every arc u -> v contributes level(u) + 1 - level(v) to
-    the gcd, which for a strongly connected digraph equals the cycle-length
-    gcd without enumerating cycles.
+    Requires an irreducible matrix. Computed from the forward BFS levels of
+    the strong-connectivity check: every arc u -> v contributes
+    level(u) + 1 - level(v) to the gcd, which for a strongly connected
+    digraph equals the cycle-length gcd without enumerating cycles.
     """
-    b = adj.b if isinstance(adj, LineGraphAdjacency) else np.asarray(adj)
+    b = _matrix(adj)
     if not is_strongly_connected(b):
         raise GraphError("cyclic index is defined only for irreducible matrices")
-    succ = _successors(b)
-    m = b.shape[0]
-    level = [-1] * m
-    level[0] = 0
-    queue = [0]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in succ[u]:
-                if level[v] == -1:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    g = 0
-    for u in range(m):
-        for v in succ[u]:
-            g = math.gcd(g, level[u] + 1 - level[v])
-    return g
+    level = _bfs_levels(b)
+    succ, pred = np.nonzero(b)
+    return int(np.gcd.reduce(level[pred] + 1 - level[succ]))

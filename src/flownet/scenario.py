@@ -37,13 +37,7 @@ from .errors import (
     ScheduleError,
 )
 from .evolution import ExprProfile, InitialData, PiecewiseProfile
-from .graph import (
-    LineGraphAdjacency,
-    NetworkGraph,
-    build_graph,
-    is_strongly_connected,
-    line_graph_adjacency,
-)
+from .graph import NetworkGraph, build_graph, line_graph_adjacency
 from .schedules import (
     TimeVaryingMatrix,
     assemble_allocation,
@@ -51,10 +45,9 @@ from .schedules import (
     embed_junctions,
     make_junction,
     regularity_diagnostic,
-    support_pattern,
     validate_stochastic,
 )
-from .spectral import active_subpattern, default_sample_times, pattern_hash
+from .spectral import _survey_support, default_sample_times
 
 BUNDLED = ("example1", "example2", "junction")
 
@@ -297,16 +290,7 @@ def validation_summary(sc: Scenario) -> dict:
     report = validate_stochastic(sc.matrix, grid, sc.tolerances.stochastic)
 
     sample_times = default_sample_times(sc.matrix)
-    patterns: dict[str, list] = {}
-    reducible: list[float] = []
-    for t in sample_times:
-        pattern = support_pattern(sc.matrix, t, sc.tolerances.zero)
-        digest = pattern_hash(pattern)
-        if digest not in patterns:
-            patterns[digest] = pattern.tolist()
-            active, sub = active_subpattern(pattern)
-            if active.size == 0 or not is_strongly_connected(LineGraphAdjacency(sub)):
-                reducible.append(t)
+    survey = _survey_support(sc.matrix, sample_times, sc.tolerances.zero)
 
     xs = (np.arange(sc.resolution) + 0.5) / sc.resolution
     min_density = float(sc.initial.evaluate(xs).min())
@@ -315,12 +299,13 @@ def validation_summary(sc: Scenario) -> dict:
         "stochastic": report.to_json(),
         "support": {
             "sample_times": len(sample_times),
-            "distinct_patterns": len(patterns),
-            "patterns": {h: p for h, p in sorted(patterns.items())},
-            "reducible_times": reducible,
+            "distinct_patterns": len(survey.patterns),
+            "patterns": {h: p.tolist() for h, p in sorted(survey.patterns.items())},
+            "reducible_times": list(survey.reducible_times),
         },
         "initial_min_density": min_density,
         "regularity_total_variation": regularity_diagnostic(sc.matrix, grid),
-        "passed": report.passed and not reducible and min_density >= -sc.tolerances.zero,
+        "passed": (report.passed and not survey.reducible_times
+                   and min_density >= -sc.tolerances.zero),
     }
     return summary

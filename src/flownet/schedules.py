@@ -17,13 +17,14 @@ restriction of the expression grammar (see expr.is_periodic_in_time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
 
 from . import expr as ex
 from .errors import ScheduleError
-from .graph import LineGraphAdjacency, NetworkGraph
+from .graph import LineGraphAdjacency, NetworkGraph, line_graph_adjacency
 
 FLOW = "flow"
 ALLOCATION = "allocation"
@@ -55,19 +56,31 @@ class TimeVaryingMatrix:
     adjacency: np.ndarray
     period: float = 1.0
 
+    @cached_property
+    def _scatter(self) -> tuple[tuple[ex.Expr, np.ndarray, np.ndarray], ...]:
+        """Each distinct expression with the 0-based rows and columns it fills."""
+        where: dict[ex.Expr, tuple[list[int], list[int]]] = {}
+        for (k, l), e in self.entries.items():
+            rows, cols = where.setdefault(e, ([], []))
+            rows.append(k - 1)
+            cols.append(l - 1)
+        return tuple((e, np.array(rows), np.array(cols)) for e, (rows, cols) in where.items())
+
     def at(self, t: float) -> np.ndarray:
         """Dense value at one time."""
-        out = np.zeros((self.dim, self.dim))
-        for (k, l), e in self.entries.items():
-            out[k - 1, l - 1] = ex.evaluate(e, t)
-        return out
+        return self.at_times([t])[0]
 
     def at_times(self, ts: np.ndarray) -> np.ndarray:
-        """Stacked dense values, shape (len(ts), dim, dim)."""
+        """Stacked dense values, shape (len(ts), dim, dim).
+
+        Expressions hash by structure, so an expression shared by several
+        entries is evaluated once on all of ts and scattered to each of its
+        (k, l) positions.
+        """
         ts = np.asarray(ts, dtype=float)
         out = np.zeros((ts.size, self.dim, self.dim))
-        for (k, l), e in self.entries.items():
-            out[:, k - 1, l - 1] = ex.evaluate(e, ts)
+        for e, rows, cols in self._scatter:
+            out[:, rows, cols] = np.reshape(ex.evaluate(e, ts), (-1, 1))
         return out
 
     def critical_times(self) -> frozenset[float]:
@@ -140,9 +153,8 @@ def assemble_weighted_adjacency(
             continue
         for l in g.in_edges(g.tail(k)):
             entries[(k, l)] = w
-    b = (g.phi_minus.T @ g.phi_plus > 0).astype(np.int64)
-    b.setflags(write=False)
-    return TimeVaryingMatrix(dim=g.m, entries=entries, kind=FLOW, adjacency=b)
+    return TimeVaryingMatrix(dim=g.m, entries=entries, kind=FLOW,
+                             adjacency=line_graph_adjacency(g).b)
 
 
 def assemble_allocation(

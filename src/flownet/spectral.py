@@ -6,6 +6,11 @@ active subnetwork G_t (edges with inflow at time t). The cyclic index is
 computed combinatorially from the support pattern; the number of peripheral
 eigenvalues of the sampled matrix provides an independent spectral route to
 the same number, which the tests cross-check.
+
+Support patterns are surveyed in one place, _survey_support: it samples the
+pattern at each time, hashes it, and checks each distinct pattern once.
+validation_summary, asymptotic_period and, through the period report,
+strictly_positive_shortcut all read that one survey.
 """
 
 from __future__ import annotations
@@ -100,6 +105,43 @@ def default_sample_times(M: TimeVaryingMatrix, per_period: int = 64) -> tuple[fl
     return tuple(sorted(times))
 
 
+@dataclass(frozen=True)
+class _SupportSurvey:
+    """Support patterns at each sample time; each distinct one checked once."""
+
+    hashes: tuple[str, ...]
+    patterns: dict[str, np.ndarray]
+    cyclic_indices: dict[str, int | None]
+    reducible_times: tuple[float, ...]
+
+
+def _survey_support(M: TimeVaryingMatrix, sample_times, zero_tol: float) -> _SupportSurvey:
+    """Sample, hash and check the support pattern at every time.
+
+    Distinct patterns keep their first-seen order. A pattern whose active
+    edges are not strongly connected gets cyclic index None, and the time it
+    was first seen goes into reducible_times.
+    """
+    hashes = []
+    patterns: dict[str, np.ndarray] = {}
+    cyclic_indices: dict[str, int | None] = {}
+    reducible = []
+    for t in sample_times:
+        pattern = support_pattern(M, float(t), zero_tol)
+        digest = pattern_hash(pattern)
+        hashes.append(digest)
+        if digest in patterns:
+            continue
+        patterns[digest] = pattern
+        active, sub = active_subpattern(pattern)
+        if active.size and is_strongly_connected(LineGraphAdjacency(sub)):
+            cyclic_indices[digest] = cyclic_index(LineGraphAdjacency(sub))
+        else:
+            cyclic_indices[digest] = None
+            reducible.append(t)
+    return _SupportSurvey(tuple(hashes), patterns, cyclic_indices, tuple(reducible))
+
+
 def asymptotic_period(
     M: TimeVaryingMatrix,
     sample_times=None,
@@ -118,50 +160,37 @@ def asymptotic_period(
         sample_times = default_sample_times(M)
     if not len(sample_times):
         raise SpectralError("sample_times must be nonempty")
-    samples = []
-    distinct: dict[str, np.ndarray] = {}
-    hash_index: dict[str, int] = {}
-    for t in sample_times:
-        pattern = support_pattern(M, float(t), zero_tol)
-        digest = pattern_hash(pattern)
-        if digest not in hash_index:
-            active, sub = active_subpattern(pattern)
-            if active.size == 0 or not is_strongly_connected(LineGraphAdjacency(sub)):
-                raise HypothesisError(
-                    f"support pattern at t={float(t)} is reducible: the time-t network "
-                    "must be strongly connected for the asymptotic period to exist"
-                )
-            hash_index[digest] = cyclic_index(LineGraphAdjacency(sub))
-            distinct[digest] = pattern
-        samples.append(
-            PeriodSample(
-                time=float(t),
-                pattern_hash=digest,
-                cyclic_index=hash_index[digest],
-                peripheral_count=peripheral_count(M.at(float(t)), eigen_eps),
-            )
+    survey = _survey_support(M, sample_times, zero_tol)
+    if survey.reducible_times:
+        raise HypothesisError(
+            f"support pattern at t={float(survey.reducible_times[0])} is reducible: the time-t "
+            "network must be strongly connected for the asymptotic period to exist"
         )
+    samples = tuple(
+        PeriodSample(
+            time=float(t),
+            pattern_hash=digest,
+            cyclic_index=survey.cyclic_indices[digest],
+            peripheral_count=peripheral_count(M.at(float(t)), eigen_eps),
+        )
+        for t, digest in zip(sample_times, survey.hashes)
+    )
     tau = math.lcm(*(s.cyclic_index for s in samples))
-    return PeriodReport(samples=tuple(samples), tau=tau, distinct_patterns=distinct)
+    return PeriodReport(samples=samples, tau=tau, distinct_patterns=survey.patterns)
 
 
-def strictly_positive_shortcut(
-    M: TimeVaryingMatrix, sample_times=None, zero_tol: float = 1e-12
-) -> int | None:
-    """Cyclic index of the static adjacency if no edge ever loses its inflow.
+def strictly_positive_shortcut(M: TimeVaryingMatrix, report: PeriodReport) -> int | None:
+    """The period of a report whose only support pattern is the static adjacency.
 
-    When the nonzero weights stay strictly positive at every sample time, the
-    support pattern never changes and the period equals the cycle-length gcd
-    of the static network. Returns None when some weight vanishes somewhere,
-    in which case the general per-time formula must be used.
+    When no sampled weight ever vanishes, the support pattern never changes
+    and the period equals the cycle-length gcd of the static network, which
+    is then the report's tau. Returns None when the report saw any other
+    pattern, in which case the general per-time formula must be used.
     """
-    if sample_times is None:
-        sample_times = default_sample_times(M)
-    full = np.asarray(M.adjacency)
-    for t in sample_times:
-        if not np.array_equal(support_pattern(M, float(t), zero_tol), full):
-            return None
-    return cyclic_index(LineGraphAdjacency(full))
+    patterns = list(report.distinct_patterns.values())
+    if len(patterns) == 1 and np.array_equal(patterns[0], M.adjacency):
+        return report.tau
+    return None
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,26 @@ def test_period_single_cycle(tmp_path, capsys):
     assert json.loads(out)["tau"] == 4
 
 
+def test_period_with_an_edge_that_never_receives_inflow(tmp_path, capsys):
+    # Edge 1 leaves vertex 1, which no edge enters: the scenario validates,
+    # and its period comes from the active edges 2 and 3.
+    doc = {
+        "graph": {"n": 3, "edges": [[1, 2], [2, 3], [3, 2]]},
+        "mode": "flow",
+        "weights": {"1,1": "1", "2,2": "1", "3,3": "1"},
+        "initial": {str(j): "1" for j in range(1, 4)},
+    }
+    path = helpers.write_scenario(tmp_path, doc)
+    code, _, _ = run(capsys, ["validate", "--scenario", str(path)])
+    assert code == 0
+    code, out, err = run(capsys, ["period", "--scenario", str(path)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["tau"] == 2
+    assert payload["shortcut_applicable"] is True
+    assert payload["shortcut_tau"] == 2
+
+
 def test_converge_writes_trace(tmp_path, capsys):
     out_path = tmp_path / "trace.csv"
     code, out, _ = run(

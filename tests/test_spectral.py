@@ -11,6 +11,7 @@ from flownet import (
     assemble_allocation,
     assemble_weighted_adjacency,
     asymptotic_period,
+    build_graph,
     convergence_diagnostic,
     cyclic_index,
     default_sample_times,
@@ -94,20 +95,82 @@ def test_asymptotic_period_rejects_reducible_pattern():
 
 def test_shortcut_example1_applies():
     M = example1_matrix()
-    times = default_sample_times(M)
-    assert strictly_positive_shortcut(M, times) == 1
-    assert asymptotic_period(M, times).tau == 1
+    report = asymptotic_period(M, default_sample_times(M))
+    assert report.tau == 1
+    assert strictly_positive_shortcut(M, report) == 1
 
 
 def test_shortcut_example2_not_applicable():
-    assert strictly_positive_shortcut(example2_matrix()) is None
+    M = example2_matrix()
+    assert strictly_positive_shortcut(M, asymptotic_period(M)) is None
 
 
 def test_shortcut_constant_network_equals_static_index():
     g = helpers.two_cycle_graph()
     M = assemble_weighted_adjacency(g, {(1, 1): "1", (2, 2): "1"})
-    assert strictly_positive_shortcut(M) == 2
-    assert asymptotic_period(M).tau == 2
+    report = asymptotic_period(M)
+    assert report.tau == 2
+    assert strictly_positive_shortcut(M, report) == 2
+    assert strictly_positive_shortcut(M, report) == cyclic_index(LineGraphAdjacency(M.adjacency))
+
+
+def test_shortcut_needs_the_static_adjacency_not_just_one_pattern():
+    # The self-loop e3 always has weight 0: one pattern, but not the static one.
+    g = build_graph([(1, 2), (2, 1), (2, 2)], 2)
+    M = assemble_weighted_adjacency(g, {(1, 1): "1", (2, 2): "1", (2, 3): "0"})
+    report = asymptotic_period(M)
+    assert len(report.distinct_patterns) == 1 and report.tau == 2
+    assert strictly_positive_shortcut(M, report) is None
+
+
+def test_shortcut_samples_nothing(monkeypatch):
+    import flownet.spectral as spectral
+
+    M = example1_matrix()
+    report = asymptotic_period(M)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the shortcut must be read off the report")
+
+    monkeypatch.setattr(spectral, "support_pattern", forbidden)
+    monkeypatch.setattr(spectral, "cyclic_index", forbidden)
+    monkeypatch.setattr(type(M), "at", forbidden)
+    assert strictly_positive_shortcut(M, report) == 1
+
+
+def switching_self_loop_matrix():
+    # e1: 1 -> 2, e2: 2 -> 1, e3: 2 -> 2. At t = 1/2 the weight of e2 vanishes;
+    # e1 then feeds only the self-loop e3, which never leads back to e1.
+    g = build_graph([(1, 2), (2, 1), (2, 2)], 2)
+    return assemble_weighted_adjacency(
+        g, {(1, 1): "1", (2, 2): "cos(pi*t)^2", (2, 3): "sin(pi*t)^2"})
+
+
+def test_asymptotic_period_names_the_first_reducible_time():
+    M = switching_self_loop_matrix()
+    with pytest.raises(HypothesisError, match=r"t=0\.5 is reducible"):
+        asymptotic_period(M, [0.0, 0.25, 0.5, 0.75])
+
+
+def test_survey_checks_each_distinct_pattern_once(monkeypatch):
+    import flownet.spectral as spectral
+
+    checked = []
+    strongly_connected = spectral.is_strongly_connected
+    monkeypatch.setattr(spectral, "is_strongly_connected",
+                        lambda adj: checked.append(adj) or strongly_connected(adj))
+    M = switching_self_loop_matrix()
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    survey = spectral._survey_support(M, times, 1e-12)
+    assert len(checked) == len(survey.patterns) == 3
+    assert survey.hashes[0] == survey.hashes[4] and survey.hashes[1] == survey.hashes[3]
+    assert list(survey.patterns) == [survey.hashes[0], survey.hashes[1], survey.hashes[2]]
+    assert survey.reducible_times == (0.5,)
+    assert list(survey.cyclic_indices.values()) == [2, 1, None]
+
+    checked.clear()
+    report = asymptotic_period(example2_matrix())
+    assert len(checked) == len(report.distinct_patterns) == 3
 
 
 def test_tau_divisible_by_every_sampled_index():
