@@ -36,7 +36,7 @@ def _emit(payload: dict, out=None) -> None:
 
 
 def _load(args) -> Scenario:
-    sc = load_scenario(args.scenario, allow_nonperiodic=args.allow_nonperiodic)
+    sc = load_scenario(args.scenario)
     if args.grid is not None:
         sc = dataclasses.replace(sc, resolution=int(args.grid))
     if args.tol is not None:
@@ -147,37 +147,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *, gated=False, sampled=False):
         p.add_argument("--scenario", required=True,
                        help="scenario JSON path, or a bundled name: example1 | example2 | junction")
         p.add_argument("--out", default=None,
                        help="output path: CSV for simulate/converge (required there), "
                             "JSON copy of the report otherwise")
         p.add_argument("--grid", type=int, default=None, help="override grid resolution N")
-        p.add_argument("--samples", type=int, default=64,
-                       help="equispaced support sample times per period (default 64)")
+        if sampled:
+            p.add_argument("--samples", type=int, default=64,
+                           help="equispaced support sample times per period (default 64)")
         p.add_argument("--tol", type=float, default=None,
                        help="override the stochasticity tolerance")
-        p.add_argument("--force", action="store_true",
-                       help="run even if scenario validation fails")
-        p.add_argument("--allow-nonperiodic", action="store_true",
-                       help="skip the structural 1-periodicity check on weights")
+        if gated:
+            p.add_argument("--force", action="store_true",
+                           help="run even if scenario validation fails")
 
     p = sub.add_parser("validate", help="check stochasticity, support, regularity")
     common(p)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("simulate", help="propagate densities and export a CSV field")
-    common(p)
+    common(p, gated=True)
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("period", help="compute the asymptotic period report")
-    common(p)
+    common(p, gated=True, sampled=True)
     p.set_defaults(fn=cmd_period)
 
     p = sub.add_parser("converge", help="trace the distance to the tau-shifted flow")
-    common(p)
+    common(p, gated=True, sampled=True)
     p.add_argument("--tau", type=int, default=None,
                    help="candidate period (default: computed from the scenario)")
     p.add_argument("--horizon", type=float, default=50.0)

@@ -348,7 +348,7 @@ def _affine_in_var(e: Expr):
         if base[0] == 0.0:
             try:
                 return (0.0, base[1] ** e.exponent)
-            except ZeroDivisionError:
+            except (ZeroDivisionError, OverflowError):
                 return None
         return None
     if isinstance(e, Trig):
@@ -364,28 +364,36 @@ _INT_TOL = 1e-9
 
 
 def is_periodic_in_time(e: Expr) -> bool:
-    """Structural check that e has period 1 in the free variable.
+    """Whether e provably has period 1 in the free variable, by shift parity.
 
-    The variable may occur only inside sin/cos whose argument is affine with
-    slope an integer multiple of pi; any polynomial dependence outside a trig
-    argument fails the check. This is the checkable fragment of 1-periodicity,
-    not a full semantic test.
+    A subtree has parity p when e(t + 1) = p * e(t). Var-free subtrees are
+    even; sin/cos of k*pi*t + c, k an integer, has parity (-1)^k; '*', '/' and
+    '^' multiply parities; both sides of '+'/'-' must share one; t anywhere
+    else has none. The whole must be even, so the odd cos(pi*t) fails. The
+    check is sound, not complete: it also fails 1-periodic sin(cos(2*pi*t)).
     """
+    return _shift_parity(e) == 1
+
+
+def _shift_parity(e: Expr) -> int | None:
+    """1 or -1 by the rules of is_periodic_in_time, or None if unknown."""
     if not depends_on_var(e):
-        return True
+        return 1
     if isinstance(e, Trig):
         arg = _affine_in_var(e.arg)
-        if arg is None:
-            return False
-        k = arg[0] / math.pi
-        return abs(k - round(k)) <= _INT_TOL
+        k = None if arg is None else arg[0] / math.pi
+        return None if k is None or abs(k - round(k)) > _INT_TOL else (-1) ** (round(k) % 2)
     if isinstance(e, Neg):
-        return is_periodic_in_time(e.operand)
-    if isinstance(e, BinOp):
-        return is_periodic_in_time(e.left) and is_periodic_in_time(e.right)
+        return _shift_parity(e.operand)
     if isinstance(e, Power):
-        return is_periodic_in_time(e.base)
-    return False
+        p = _shift_parity(e.base)
+        return None if p is None else p ** (e.exponent % 2)
+    if isinstance(e, BinOp):
+        a, b = _shift_parity(e.left), _shift_parity(e.right)
+        if None in (a, b) or (e.op in "+-" and a != b):
+            return None
+        return a * b if e.op in "*/" else a
+    return None
 
 
 def critical_times(e: Expr) -> frozenset[float]:

@@ -102,7 +102,7 @@ def _parse_weight(source, pointer: str, var: str = "t") -> ex.Expr:
         raise ScenarioError(f"bad expression {source!r}: {err}", pointer) from err
 
 
-def load_scenario(path, *, allow_nonperiodic: bool = False) -> Scenario:
+def load_scenario(path) -> Scenario:
     """Load and structurally validate a scenario from a file or bundled name."""
     p = Path(path)
     if not p.exists() and str(path) in BUNDLED:
@@ -113,10 +113,10 @@ def load_scenario(path, *, allow_nonperiodic: bool = False) -> Scenario:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as err:
         raise ScenarioError(f"not valid JSON: {err}") from err
-    return scenario_from_dict(doc, allow_nonperiodic=allow_nonperiodic)
+    return scenario_from_dict(doc)
 
 
-def scenario_from_dict(doc, *, allow_nonperiodic: bool = False) -> Scenario:
+def scenario_from_dict(doc) -> Scenario:
     _require(isinstance(doc, dict), "document must be a JSON object", "")
     unknown = set(doc) - _TOP_KEYS
     _require(not unknown, f"unknown keys {sorted(unknown)}", "")
@@ -141,18 +141,17 @@ def scenario_from_dict(doc, *, allow_nonperiodic: bool = False) -> Scenario:
     mode = doc.get("mode")
     _require(mode in ("flow", "atf"), "mode must be 'flow' or 'atf'", "/mode")
 
-    require_periodic = not allow_nonperiodic
     if mode == "flow":
         _require("weights" in doc, "flow mode needs 'weights'", "/weights")
         _require("junctions" not in doc, "'junctions' is only valid in atf mode", "/junctions")
-        matrix = _flow_matrix(g, doc["weights"], require_periodic)
+        matrix = _flow_matrix(g, doc["weights"])
     else:
         has_w, has_j = "weights" in doc, "junctions" in doc
         _require(has_w != has_j, "atf mode needs exactly one of 'weights' or 'junctions'", "")
         if has_w:
-            matrix = _atf_matrix(g, doc["weights"], require_periodic)
+            matrix = _atf_matrix(g, doc["weights"])
         else:
-            matrix = _junction_matrix(g, doc["junctions"], require_periodic)
+            matrix = _junction_matrix(g, doc["junctions"])
 
     initial = _initial_data(g, doc.get("initial"))
 
@@ -186,7 +185,7 @@ def scenario_from_dict(doc, *, allow_nonperiodic: bool = False) -> Scenario:
     )
 
 
-def _flow_matrix(g: NetworkGraph, weights_doc, require_periodic: bool) -> TimeVaryingMatrix:
+def _flow_matrix(g: NetworkGraph, weights_doc) -> TimeVaryingMatrix:
     _require(isinstance(weights_doc, dict) and weights_doc, "'weights' must be a nonempty object", "/weights")
     weights = {}
     for key, source in weights_doc.items():
@@ -194,12 +193,12 @@ def _flow_matrix(g: NetworkGraph, weights_doc, require_periodic: bool) -> TimeVa
         i, j = _parse_pair(key, pointer)
         weights[(i, j)] = _parse_weight(source, pointer)
     try:
-        return assemble_weighted_adjacency(g, weights, require_periodic=require_periodic)
+        return assemble_weighted_adjacency(g, weights)
     except ScheduleError as err:
         raise ScenarioError(str(err), "/weights") from err
 
 
-def _atf_matrix(g: NetworkGraph, weights_doc, require_periodic: bool) -> TimeVaryingMatrix:
+def _atf_matrix(g: NetworkGraph, weights_doc) -> TimeVaryingMatrix:
     _require(isinstance(weights_doc, dict) and weights_doc, "'weights' must be a nonempty object", "/weights")
     entries = {}
     for key, source in weights_doc.items():
@@ -207,12 +206,12 @@ def _atf_matrix(g: NetworkGraph, weights_doc, require_periodic: bool) -> TimeVar
         k, l = _parse_pair(key, pointer)
         entries[(k, l)] = _parse_weight(source, pointer)
     try:
-        return assemble_allocation(line_graph_adjacency(g), entries, require_periodic=require_periodic)
+        return assemble_allocation(line_graph_adjacency(g), entries)
     except ScheduleError as err:
         raise ScenarioError(str(err), "/weights") from err
 
 
-def _junction_matrix(g: NetworkGraph, junctions_doc, require_periodic: bool) -> TimeVaryingMatrix:
+def _junction_matrix(g: NetworkGraph, junctions_doc) -> TimeVaryingMatrix:
     _require(isinstance(junctions_doc, list) and junctions_doc,
              "'junctions' must be a nonempty list", "/junctions")
     junctions = []
@@ -234,10 +233,7 @@ def _junction_matrix(g: NetworkGraph, junctions_doc, require_periodic: bool) -> 
                 [_parse_weight(v, f"{pointer}/matrix/{r}/{c}") for c, v in enumerate(row)]
             )
         try:
-            junctions.append(
-                make_junction(incoming, outgoing, parsed_rows,
-                              require_periodic=require_periodic)
-            )
+            junctions.append(make_junction(incoming, outgoing, parsed_rows))
         except ScheduleError as err:
             raise ScenarioError(str(err), pointer) from err
     try:

@@ -10,8 +10,9 @@ Two kinds of m x m matrix-valued schedules are assembled here:
   as per-junction blocks that are embedded transposed into the big matrix.
 
 Both kinds must be column-stochastic for mass conservation; that is checked
-by sampling, not symbolically. Entries are 1-periodic in time by structural
-restriction of the expression grammar (see expr.is_periodic_in_time).
+by sampling, not symbolically. Entries must be 1-periodic in time, because the
+solver reads the schedule at (t + x) mod 1: TimeVaryingMatrix refuses, however
+it is built, any entry that expr.is_periodic_in_time cannot prove 1-periodic.
 """
 
 from __future__ import annotations
@@ -32,14 +33,8 @@ ALLOCATION = "allocation"
 ExprLike = Union[str, ex.Expr]
 
 
-def _as_expr(value: ExprLike, *, require_periodic: bool, label: str) -> ex.Expr:
-    e = ex.parse_expr(value) if isinstance(value, str) else value
-    if require_periodic and not ex.is_periodic_in_time(e):
-        raise ScheduleError(
-            f"{label}: expression {ex.to_source(e)!r} is not structurally 1-periodic "
-            "(t may only occur inside sin/cos with an integer multiple of pi*t)"
-        )
-    return e
+def _as_expr(value: ExprLike) -> ex.Expr:
+    return ex.parse_expr(value) if isinstance(value, str) else value
 
 
 @dataclass(frozen=True)
@@ -48,13 +43,22 @@ class TimeVaryingMatrix:
 
     ``entries`` is keyed by 1-based (row k, col l). ``adjacency`` is the 0/1
     support allowed by the underlying graph; every key must lie inside it.
+    Construction fails on the first (k, l) whose entry is not 1-periodic.
     """
 
     dim: int
     entries: Mapping[tuple[int, int], ex.Expr]
     kind: str
     adjacency: np.ndarray
-    period: float = 1.0
+
+    def __post_init__(self):
+        bad = [min(zip(rows.tolist(), cols.tolist()))
+               for e, rows, cols in self._scatter if not ex.is_periodic_in_time(e)]
+        if bad:
+            k, l = (i + 1 for i in min(bad))
+            raise ScheduleError(
+                f"entry ({k},{l}): {ex.to_source(self.entries[(k, l)])!r} is not 1-periodic in t "
+                "(t only in sin/cos(k*pi*t + c), the terms of a sum all even or all odd)")
 
     @cached_property
     def _scatter(self) -> tuple[tuple[ex.Expr, np.ndarray, np.ndarray], ...]:
@@ -113,23 +117,15 @@ class JunctionAllocation:
             )
 
 
-def make_junction(incoming, outgoing, rows, *, require_periodic: bool = True) -> JunctionAllocation:
+def make_junction(incoming, outgoing, rows) -> JunctionAllocation:
     """Build a JunctionAllocation from expression strings or ASTs."""
-    entries = tuple(
-        tuple(
-            _as_expr(v, require_periodic=require_periodic, label=f"junction entry ({i},{j})")
-            for j, v in enumerate(row)
-        )
-        for i, row in enumerate(rows)
-    )
+    entries = tuple(tuple(_as_expr(v) for v in row) for row in rows)
     return JunctionAllocation(tuple(incoming), tuple(outgoing), entries)
 
 
 def assemble_weighted_adjacency(
     g: NetworkGraph,
     weights: Mapping[tuple[int, int], ExprLike],
-    *,
-    require_periodic: bool = True,
 ) -> TimeVaryingMatrix:
     """Build the flow-kind matrix from per-(vertex, outgoing edge) weights.
 
@@ -144,7 +140,7 @@ def assemble_weighted_adjacency(
                 if 1 <= j <= g.m and 1 <= i <= g.n
                 else f"weight ({i},{j}): no such vertex/edge pair"
             )
-        parsed[(i, j)] = _as_expr(value, require_periodic=require_periodic, label=f"weight ({i},{j})")
+        parsed[(i, j)] = _as_expr(value)
 
     entries: dict[tuple[int, int], ex.Expr] = {}
     for k in range(1, g.m + 1):
@@ -160,8 +156,6 @@ def assemble_weighted_adjacency(
 def assemble_allocation(
     adj: LineGraphAdjacency,
     entries: Mapping[tuple[int, int], ExprLike],
-    *,
-    require_periodic: bool = True,
 ) -> TimeVaryingMatrix:
     """Build the allocation-kind matrix from explicit (k, l) proportions."""
     parsed: dict[tuple[int, int], ex.Expr] = {}
@@ -171,7 +165,7 @@ def assemble_allocation(
                 f"entry ({k},{l}): edge {l} does not flow into edge {k} "
                 "(support violation: flow only takes place on edges of the network)"
             )
-        parsed[(k, l)] = _as_expr(value, require_periodic=require_periodic, label=f"entry ({k},{l})")
+        parsed[(k, l)] = _as_expr(value)
     return TimeVaryingMatrix(dim=adj.m, entries=parsed, kind=ALLOCATION, adjacency=adj.b)
 
 

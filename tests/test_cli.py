@@ -3,7 +3,7 @@ import json
 import pytest
 
 import helpers
-from flownet.cli import main
+from flownet.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -212,6 +212,35 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# --samples feeds only the period survey and --force only the validity gate,
+# so commands that read neither refuse them; the periodicity gate has no off
+# switch.
+@pytest.mark.parametrize("argv", [
+    ["validate", "--samples", "8"],
+    ["simulate", "--samples", "8", "--t-end", "1.0", "--out", "field.csv"],
+    ["validate", "--force"],
+    ["validate", "--allow-nonperiodic"],
+    ["simulate", "--allow-nonperiodic", "--t-end", "1.0", "--out", "field.csv"],
+    ["period", "--allow-nonperiodic"],
+    ["converge", "--allow-nonperiodic", "--out", "trace.csv"],
+])
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--scenario", "example1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--force", "--t-end", "1"],
+    ["period", "--force", "--samples", "8"],
+    ["converge", "--force", "--samples", "8"],
+])
+def test_force_and_samples_parse_where_read(argv):
+    args = build_parser().parse_args(argv + ["--scenario", "example1"])
+    assert args.force and getattr(args, "samples", 8) == 8
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

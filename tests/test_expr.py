@@ -2,10 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from flownet import ExprEvalError, ExprSyntaxError, eval_expr, parse_expr, to_source
-from flownet.expr import critical_times, depends_on_var, is_periodic_in_time
+from flownet.expr import (
+    BinOp,
+    Neg,
+    Num,
+    Pi,
+    Power,
+    Trig,
+    Var,
+    critical_times,
+    depends_on_var,
+    is_periodic_in_time,
+)
 
 
 def test_paper_entry_evaluates():
@@ -94,9 +107,18 @@ def test_unary_minus_binds_before_power_per_grammar():
     [
         ("cos(pi*t)^2", True),
         ("sin(2*pi*t)", True),
-        ("1 + cos(pi*t) - sin(7*pi*t)/2", True),
-        ("cos(pi*t + 1)", True),
-        ("cos(pi*(t + 3))", True),
+        ("1 + cos(pi*t) - sin(7*pi*t)/2", False),
+        ("cos(pi*t + 1)", False),
+        ("cos(pi*(t + 3))", False),
+        ("cos(pi*t)", False),
+        ("cos(pi*t)*sin(pi*t)", True),
+        ("sin(pi*t)^3", False),
+        ("cos(pi*t)^-2", True),
+        ("cos(pi*t)^2 - sin(3*pi*t + 1)^4", True),
+        ("cos(pi*t) + sin(3*pi*t)", False),
+        ("1/cos(pi*t)", False),
+        ("sin(pi*t)/cos(pi*t)", True),
+        ("cos(10^400*t)", False),
         ("5", True),
         ("pi^2", True),
         ("t", False),
@@ -109,6 +131,73 @@ def test_unary_minus_binds_before_power_per_grammar():
 )
 def test_periodicity_checker(source, expected):
     assert is_periodic_in_time(parse_expr(source)) is expected
+
+
+# Random expression trees over the whole grammar. Literals are non-negative,
+# as the parser produces them; trig leaves k*pi*t + c make many trees pass
+# the periodicity checker.
+_CONSTS = st.sampled_from([Num(0.0), Num(0.5), Num(1.0), Num(2.0), Num(3.0), Pi()])
+_FUNCS = st.sampled_from(["sin", "cos"])
+
+
+def _affine_trig(func, k, c):
+    return Trig(func, BinOp("+", BinOp("*", BinOp("*", Num(k), Pi()), Var("t")), c))
+
+
+EXPRS = st.recursive(
+    st.one_of(_CONSTS, st.just(Var("t")),
+              st.builds(_affine_trig, _FUNCS, st.sampled_from([1.0, 2.0, 3.0]), _CONSTS)),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Power, children, st.integers(-3, 3)),
+        st.builds(Trig, _FUNCS, children),
+    ),
+    max_leaves=10,
+)
+
+
+def _divisors(e):
+    """Every subtree that evaluating e divides by."""
+    if isinstance(e, BinOp):
+        yield from _divisors(e.left)
+        yield from _divisors(e.right)
+        if e.op == "/":
+            yield e.right
+    elif isinstance(e, Power):
+        yield from _divisors(e.base)
+        if e.exponent < 0:
+            yield e.base
+    elif isinstance(e, Neg):
+        yield from _divisors(e.operand)
+    elif isinstance(e, Trig):
+        yield from _divisors(e.arg)
+
+
+# Derandomized so every run draws the same examples; no deadline, because an
+# example's wall time depends on the machine's load.
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(e=EXPRS)
+def test_periodicity_checker_implies_unit_shift_invariance(e):
+    if not is_periodic_in_time(e):
+        return
+    ts = np.linspace(0.0, 1.0, 41)
+    try:
+        with np.errstate(all="ignore"):
+            now, later = eval_expr(e, ts), eval_expr(e, ts + 1.0)
+            # dividing by a value near zero magnifies rounding past any bound
+            if any(np.abs(eval_expr(d, ts)).min() < 1e-2 for d in _divisors(e)):
+                return
+    except ExprEvalError:
+        return
+    now, later = np.broadcast_to(now, ts.shape), np.broadcast_to(later, ts.shape)
+    assert np.abs(later - now).max() <= 1e-12 * (1.0 + np.abs(now).max())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(e=EXPRS)
+def test_printer_round_trips_random_trees(e):
+    assert parse_expr(to_source(e)) == e
 
 
 def test_depends_on_var():

@@ -141,8 +141,46 @@ def test_nonperiodic_weight_needs_flag(tmp_path):
     path = helpers.write_scenario(tmp_path, doc)
     with pytest.raises(ScenarioError):
         load_scenario(path)
-    sc = load_scenario(path, allow_nonperiodic=True)
-    assert sc.matrix.at(0.5)[0, 1] == 0.5
+
+
+def _flow_doc(source):
+    doc = helpers.base_flow_scenario()
+    doc["weights"]["1,1"] = source
+    return doc
+
+
+def _atf_doc(source):
+    doc = helpers.base_flow_scenario()
+    doc["mode"] = "atf"
+    doc["weights"] = {"1,2": source, "2,1": "1"}
+    return doc
+
+
+def _junction_doc(source):
+    doc = helpers.base_flow_scenario()
+    doc["mode"] = "atf"
+    del doc["weights"]
+    doc["junctions"] = [{"in": [1], "out": [2], "matrix": [["1"]]},
+                        {"in": [2], "out": [1], "matrix": [[source]]}]
+    return doc
+
+
+# Each is 2-periodic, not 1-periodic: odd under t -> t + 1, or a sum of an
+# even and an odd term.
+TWO_PERIODIC = ["cos(pi*t)", "cos(pi*t + 1)", "cos(pi*(t + 3))", "1 + cos(pi*t) - sin(7*pi*t)/2"]
+
+
+@pytest.mark.parametrize("source", TWO_PERIODIC)
+@pytest.mark.parametrize("build,pointer", [
+    (_flow_doc, "/weights"), (_atf_doc, "/weights"), (_junction_doc, "/junctions"),
+])
+def test_two_periodic_weight_rejected_with_pointer(tmp_path, source, build, pointer):
+    path = helpers.write_scenario(tmp_path, build(source))
+    with pytest.raises(ScenarioError, match="not 1-periodic") as err:
+        load_scenario(path)
+    assert err.value.pointer == pointer
+    build_periodic = build(source.replace("pi*", "2*pi*"))
+    assert load_scenario(helpers.write_scenario(tmp_path, build_periodic)).matrix.dim == 2
 
 
 def test_unknown_tolerance_key(tmp_path):

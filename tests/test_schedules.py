@@ -6,16 +6,20 @@ import pytest
 
 import helpers
 from flownet import (
+    JunctionAllocation,
     ScheduleError,
+    TimeVaryingMatrix,
     assemble_allocation,
     assemble_weighted_adjacency,
     embed_junctions,
     line_graph_adjacency,
     make_junction,
+    parse_expr,
     regularity_diagnostic,
     support_pattern,
     validate_stochastic,
 )
+from flownet import schedules
 
 
 def example1_matrix():
@@ -77,8 +81,43 @@ def test_nonperiodic_weight_rejected_unless_allowed():
     g = helpers.two_cycle_graph()
     with pytest.raises(ScheduleError):
         assemble_weighted_adjacency(g, {(1, 1): "t", (2, 2): "1"})
-    M = assemble_weighted_adjacency(g, {(1, 1): "t", (2, 2): "1"}, require_periodic=False)
-    assert M.at(0.25)[0, 1] == 0.25
+
+
+def test_direct_matrix_construction_checks_periodicity():
+    adj = line_graph_adjacency(helpers.two_cycle_graph())
+    odd = parse_expr("cos(pi*t)")
+    entries = {(2, 1): odd, (1, 2): odd}
+    with pytest.raises(ScheduleError, match=r"entry \(1,2\): 'cos\(pi \* t\)'"):
+        TimeVaryingMatrix(dim=2, entries=entries, kind="allocation", adjacency=adj.b)
+    entries[(1, 2)] = parse_expr("sin(pi*t)")
+    with pytest.raises(ScheduleError, match=r"entry \(1,2\): 'sin\(pi \* t\)'"):
+        TimeVaryingMatrix(dim=2, entries=entries, kind="allocation", adjacency=adj.b)
+    entries[(1, 2)] = parse_expr("cos(pi*t)^2")
+    with pytest.raises(ScheduleError, match=r"entry \(2,1\)"):
+        TimeVaryingMatrix(dim=2, entries=entries, kind="allocation", adjacency=adj.b)
+
+
+def test_hand_built_junction_is_checked_when_embedded():
+    adj = line_graph_adjacency(helpers.two_cycle_graph())
+    junctions = [
+        JunctionAllocation((1,), (2,), ((parse_expr("1"),),)),
+        JunctionAllocation((2,), (1,), ((parse_expr("t"),),)),
+    ]
+    with pytest.raises(ScheduleError, match=r"entry \(1,2\): 't' is not 1-periodic"):
+        embed_junctions(adj, junctions)
+
+
+def test_periodicity_checked_once_per_distinct_expression(monkeypatch):
+    checked = []
+
+    def spy(e):
+        checked.append(e)
+        return True
+
+    monkeypatch.setattr(schedules.ex, "is_periodic_in_time", spy)
+    M = example2_matrix()
+    assert len(M.entries) == 22
+    assert len(checked) == len(set(checked)) == len(set(M.entries.values()))
 
 
 def test_structural_periodicity_of_assembled_matrices():
@@ -177,7 +216,7 @@ def test_validate_stochastic_example2():
 
 def test_validate_flags_negative_entry_with_witness():
     adj = line_graph_adjacency(helpers.two_cycle_graph())
-    M = assemble_allocation(adj, {(1, 2): "cos(pi*t)", (2, 1): "1"})
+    M = assemble_allocation(adj, {(1, 2): "sin(2*pi*t)", (2, 1): "1"})
     report = validate_stochastic(M, [k / 100 for k in range(101)], 1e-9)
     assert not report.passed
     neg = next(c for c in report.checks if c.name == "nonnegative_entries")
