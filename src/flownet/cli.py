@@ -46,18 +46,12 @@ def _load(args) -> Scenario:
     return sc
 
 
-def _ensure_valid(sc: Scenario, args) -> dict:
-    summary = validation_summary(sc)
-    if not summary["passed"] and not args.force:
+def _ensure_valid(sc: Scenario, args) -> None:
+    if not validation_summary(sc)["passed"] and not args.force:
         raise HypothesisError(
             "scenario failed validation (rerun the validate command for details, "
             "or pass --force to proceed anyway)"
         )
-    return summary
-
-
-def _sample_times(sc: Scenario, args):
-    return default_sample_times(sc.matrix, per_period=args.samples)
 
 
 def _require_out(args) -> bool:
@@ -105,7 +99,8 @@ def cmd_simulate(args) -> int:
 def cmd_period(args) -> int:
     sc = _load(args)
     _ensure_valid(sc, args)
-    report = asymptotic_period(sc.matrix, _sample_times(sc, args), sc.tolerances.zero)
+    report = asymptotic_period(sc.matrix, default_sample_times(sc.matrix, args.samples),
+                               sc.tolerances.zero)
     shortcut = strictly_positive_shortcut(sc.matrix, report)
     payload = report.to_json()
     payload["shortcut_applicable"] = shortcut is not None
@@ -120,7 +115,8 @@ def cmd_converge(args) -> int:
     sc = _load(args)
     _ensure_valid(sc, args)
     if args.tau is None:
-        tau = asymptotic_period(sc.matrix, _sample_times(sc, args), sc.tolerances.zero).tau
+        times = default_sample_times(sc.matrix, args.samples)
+        tau = asymptotic_period(sc.matrix, times, sc.tolerances.zero).tau
     else:
         tau = args.tau
     trace = convergence_diagnostic(

@@ -360,9 +360,6 @@ def _affine_in_var(e: Expr):
     return None
 
 
-_INT_TOL = 1e-9
-
-
 def is_periodic_in_time(e: Expr) -> bool:
     """Whether e provably has period 1 in the free variable, by shift parity.
 
@@ -382,7 +379,10 @@ def _shift_parity(e: Expr) -> int | None:
     if isinstance(e, Trig):
         arg = _affine_in_var(e.arg)
         k = None if arg is None else arg[0] / math.pi
-        return None if k is None or abs(k - round(k)) > _INT_TOL else (-1) ** (round(k) % 2)
+        # an integer within a few ulps, which float rounding of k*pi needs
+        if k is None or not math.isfinite(k) or abs(k - round(k)) > 4 * math.ulp(k):
+            return None
+        return (-1) ** (round(k) % 2)
     if isinstance(e, Neg):
         return _shift_parity(e.operand)
     if isinstance(e, Power):

@@ -9,15 +9,16 @@ Two kinds of m x m matrix-valued schedules are assembled here:
   traffic leaving edge l that continues on edge k, given either directly or
   as per-junction blocks that are embedded transposed into the big matrix.
 
-Both kinds must be column-stochastic for mass conservation; that is checked
-by sampling, not symbolically. Entries must be 1-periodic in time, because the
-solver reads the schedule at (t + x) mod 1: TimeVaryingMatrix refuses, however
-it is built, any entry that expr.is_periodic_in_time cannot prove 1-periodic.
+Entries must be 1-periodic in time, because the solver reads the schedule at
+(t + x) mod 1: TimeVaryingMatrix refuses, however it is built, any entry that
+expr.is_periodic_in_time cannot prove 1-periodic. Its table holds each distinct
+expression once on a time grid; scatter spreads a table into dense stacks. Both
+kinds must be column-stochastic for mass conservation: validators check tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Mapping, Union
 
@@ -35,6 +36,11 @@ ExprLike = Union[str, ex.Expr]
 
 def _as_expr(value: ExprLike) -> ex.Expr:
     return ex.parse_expr(value) if isinstance(value, str) else value
+
+
+def _not_periodic(where: str, e: ex.Expr) -> ScheduleError:
+    return ScheduleError(f"{where}: {ex.to_source(e)!r} is not 1-periodic in t (t only in "
+                         "sin/cos(k*pi*t + c), the terms of a sum all even or all odd)")
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,7 @@ class TimeVaryingMatrix:
                for e, rows, cols in self._scatter if not ex.is_periodic_in_time(e)]
         if bad:
             k, l = (i + 1 for i in min(bad))
-            raise ScheduleError(
-                f"entry ({k},{l}): {ex.to_source(self.entries[(k, l)])!r} is not 1-periodic in t "
-                "(t only in sin/cos(k*pi*t + c), the terms of a sum all even or all odd)")
+            raise _not_periodic(f"entry ({k},{l})", self.entries[(k, l)])
 
     @cached_property
     def _scatter(self) -> tuple[tuple[ex.Expr, np.ndarray, np.ndarray], ...]:
@@ -74,23 +78,29 @@ class TimeVaryingMatrix:
         """Dense value at one time."""
         return self.at_times([t])[0]
 
-    def at_times(self, ts: np.ndarray) -> np.ndarray:
-        """Stacked dense values, shape (len(ts), dim, dim).
-
-        Expressions hash by structure, so an expression shared by several
-        entries is evaluated once on all of ts and scattered to each of its
-        (k, l) positions.
-        """
+    def table(self, ts) -> np.ndarray:
+        """Column j: the j-th distinct expression of _scatter on ts; shape (len(ts), d)."""
         ts = np.asarray(ts, dtype=float)
-        out = np.zeros((ts.size, self.dim, self.dim))
-        for e, rows, cols in self._scatter:
-            out[:, rows, cols] = np.reshape(ex.evaluate(e, ts), (-1, 1))
+        out = np.empty((ts.size, len(self._scatter)))
+        for j, (e, _, _) in enumerate(self._scatter):
+            out[:, j] = ex.evaluate(e, ts)
         return out
+
+    def scatter(self, table: np.ndarray) -> np.ndarray:
+        """Dense stack of a table, shape (len(table), dim, dim)."""
+        out = np.zeros((len(table), self.dim, self.dim))
+        for j, (_, rows, cols) in enumerate(self._scatter):
+            out[:, rows, cols] = table[:, j:j + 1]
+        return out
+
+    def at_times(self, ts: np.ndarray) -> np.ndarray:
+        """Stacked dense values, shape (len(ts), dim, dim)."""
+        return self.scatter(self.table(ts))
 
     def critical_times(self) -> frozenset[float]:
         """Union of quarter-period times of every trig factor in any entry."""
         times: set[float] = set()
-        for e in self.entries.values():
+        for e, _, _ in self._scatter:
             times |= ex.critical_times(e)
         return frozenset(times)
 
@@ -149,8 +159,12 @@ def assemble_weighted_adjacency(
             continue
         for l in g.in_edges(g.tail(k)):
             entries[(k, l)] = w
-    return TimeVaryingMatrix(dim=g.m, entries=entries, kind=FLOW,
-                             adjacency=line_graph_adjacency(g).b)
+    try:
+        return TimeVaryingMatrix(dim=g.m, entries=entries, kind=FLOW,
+                                 adjacency=line_graph_adjacency(g).b)
+    except ScheduleError:  # name the weight the user wrote, not an entry it fills
+        (i, j), w = next(kv for kv in parsed.items() if not ex.is_periodic_in_time(kv[1]))
+        raise _not_periodic(f"weight ({i},{j})", w) from None
 
 
 def assemble_allocation(
@@ -227,14 +241,7 @@ class CheckResult:
     witness_value: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst": self.worst,
-            "witness_time": self.witness_time,
-            "witness_index": self.witness_index,
-            "witness_value": self.witness_value,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -265,11 +272,14 @@ def validate_stochastic(M: TimeVaryingMatrix, grid, tol: float) -> ValidationRep
         raise ScheduleError("validation grid is empty")
     if tol <= 0:
         raise ScheduleError("tolerance must be positive")
-    stack = M.at_times(np.asarray(grid))
+    table = M.table(grid)
 
-    flat = np.argmin(stack)
-    g_idx, k_idx, l_idx = np.unravel_index(flat, stack.shape)
-    min_entry = float(stack[g_idx, k_idx, l_idx])
+    # the dense stack's first minimum in C order over (time, row, column), zeros included
+    lows = table.min(axis=1, initial=0.0 if len(M.entries) < M.dim ** 2 else np.inf)
+    g_idx = int(np.argmin(lows))
+    at_g = M.scatter(table[g_idx:g_idx + 1])[0]
+    k_idx, l_idx = np.unravel_index(np.argmin(at_g), at_g.shape)
+    min_entry = float(at_g[k_idx, l_idx])
     neg = CheckResult(
         name="nonnegative_entries",
         passed=min_entry >= -tol,
@@ -279,7 +289,11 @@ def validate_stochastic(M: TimeVaryingMatrix, grid, tol: float) -> ValidationRep
         witness_value=min_entry,
     )
 
-    sums = stack.sum(axis=1)
+    # from zero in (row, column) order, as a dense sum over rows adds them
+    sums = np.zeros((len(grid), M.dim))
+    for _, l, j in sorted((k, l, j) for j, (_, rows, cols) in enumerate(M._scatter)
+                          for k, l in zip(rows.tolist(), cols.tolist())):
+        sums[:, l] += table[:, j]
     dev = np.abs(sums - 1.0)
     g_idx, l_idx = np.unravel_index(np.argmax(dev), dev.shape)
     worst_dev = float(dev[g_idx, l_idx])
@@ -310,6 +324,6 @@ def regularity_diagnostic(M: TimeVaryingMatrix, grid) -> float:
     grid = np.asarray(sorted(float(t) for t in grid))
     if grid.size < 2:
         raise ScheduleError("regularity diagnostic needs at least two grid times")
-    stack = M.at_times(grid)
-    tv = np.abs(np.diff(stack, axis=0)).sum(axis=0)
-    return float(tv.max())
+    # one time step after another: sum would go pairwise on a one-column table
+    tv = np.add.accumulate(np.abs(np.diff(M.table(grid), axis=0)), axis=0)[-1]
+    return float(tv.max(initial=0.0))

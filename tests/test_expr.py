@@ -127,6 +127,13 @@ def test_unary_minus_binds_before_power_per_grammar():
         ("cos(pi*t*t)", False),
         ("sin(pi*t + sin(pi*t))", False),
         ("cos(t)", False),
+        # slope/pi must be an integer to within float rounding: 6.28318531/pi
+        # misses 2 by 1.6e-9, and its unit-shift residual is 2.8e-9
+        ("cos(6.28318531*t)", False),
+        ("cos(2*pi*t)", True),
+        ("sin(pi*t*3)^2", True),
+        ("cos(pi*t/0.5)", True),
+        ("cos(10^300*10^300*t)", False),
     ],
 )
 def test_periodicity_checker(source, expected):
