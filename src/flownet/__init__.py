@@ -20,7 +20,6 @@ from .errors import (
 from .expr import evaluate as eval_expr
 from .expr import parse_expr, to_source
 from .graph import (
-    LineGraphAdjacency,
     NetworkGraph,
     build_graph,
     cyclic_index,
@@ -73,7 +72,7 @@ __all__ = [
     "ScheduleError", "EvolutionError", "HypothesisError", "SpectralError",
     "ScenarioError",
     "parse_expr", "eval_expr", "to_source",
-    "NetworkGraph", "LineGraphAdjacency", "build_graph", "line_graph_adjacency",
+    "NetworkGraph", "build_graph", "line_graph_adjacency",
     "is_strongly_connected", "cyclic_index",
     "TimeVaryingMatrix", "JunctionAllocation", "ValidationReport",
     "assemble_weighted_adjacency", "assemble_allocation", "embed_junctions",

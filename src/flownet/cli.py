@@ -54,13 +54,6 @@ def _ensure_valid(sc: Scenario, args) -> None:
         )
 
 
-def _require_out(args) -> bool:
-    if args.out is None:
-        print("error: this command needs --out", file=sys.stderr)
-        return False
-    return True
-
-
 def cmd_validate(args) -> int:
     sc = _load(args)
     summary = validation_summary(sc)
@@ -69,8 +62,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not _require_out(args):
-        return EXIT_USAGE
     sc = _load(args)
     _ensure_valid(sc, args)
     t_end = args.t_end
@@ -110,8 +101,6 @@ def cmd_period(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    if not _require_out(args):
-        return EXIT_USAGE
     sc = _load(args)
     _ensure_valid(sc, args)
     if args.tau is None:
@@ -143,12 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, gated=False, sampled=False):
+    def common(p, *, gated=False, sampled=False, csv=False):
         p.add_argument("--scenario", required=True,
                        help="scenario JSON path, or a bundled name: example1 | example2 | junction")
-        p.add_argument("--out", default=None,
-                       help="output path: CSV for simulate/converge (required there), "
-                            "JSON copy of the report otherwise")
+        p.add_argument("--out", required=csv,
+                       help="output CSV path" if csv else "path for a JSON copy of the report")
         p.add_argument("--grid", type=int, default=None, help="override grid resolution N")
         if sampled:
             p.add_argument("--samples", type=int, default=64,
@@ -164,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("simulate", help="propagate densities and export a CSV field")
-    common(p, gated=True)
+    common(p, gated=True, csv=True)
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
     p.set_defaults(fn=cmd_simulate)
 
@@ -173,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_period)
 
     p = sub.add_parser("converge", help="trace the distance to the tau-shifted flow")
-    common(p, gated=True, sampled=True)
+    common(p, gated=True, sampled=True, csv=True)
     p.add_argument("--tau", type=int, default=None,
                    help="candidate period (default: computed from the scenario)")
     p.add_argument("--horizon", type=float, default=50.0)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -77,17 +77,7 @@ class PiecewiseProfile:
         return np.asarray(self.values, dtype=float)[idx]
 
 
-@dataclass(frozen=True)
-class CallableProfile:
-    """Profile backed by an arbitrary vectorized function of x."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-
-Profile = Union[ExprProfile, PiecewiseProfile, CallableProfile]
+Profile = Union[ExprProfile, PiecewiseProfile]
 
 
 @dataclass(frozen=True)
@@ -288,12 +278,17 @@ def propagate_many(
 
 @dataclass(frozen=True)
 class _EvolvedData(InitialData):
-    """The state at time t of the flow from f at s; evaluate evolves once for all edges."""
+    """The state at time t of the flow from f at s: no per-edge profiles, and
+    evaluate evolves once for all edges."""
 
     M: TimeVaryingMatrix
     f: InitialData
     s: float
     t: float
+
+    @property
+    def m(self) -> int:
+        return self.f.m
 
     def evaluate(self, x) -> np.ndarray:
         return _evolve(self.M, self.f, self.s, self.t, x)
@@ -303,8 +298,7 @@ def initial_from_evolution(
     M: TimeVaryingMatrix, f: InitialData, s: float, t: float
 ) -> InitialData:
     """The state at time t, exactly samplable, for restarting the evolution."""
-    edges = (CallableProfile(lambda x, j=j: _evolve(M, f, s, t, x)[j]) for j in range(f.m))
-    return _EvolvedData(tuple(edges), M, f, s, t)
+    return _EvolvedData((), M, f, s, t)
 
 
 def l1_norm(u: EdgeDensityField) -> tuple[np.ndarray, float]:

@@ -40,17 +40,6 @@ class NetworkGraph:
         return tuple(j for j in range(1, self.m + 1) if self.edges[j - 1][1] == i)
 
 
-@dataclass(frozen=True)
-class LineGraphAdjacency:
-    """0/1 adjacency on edge nodes: b[i][j] = 1 iff head(e_j) = tail(e_i)."""
-
-    b: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.b.shape[0]
-
-
 def build_graph(edge_list, n: int) -> NetworkGraph:
     """Build a NetworkGraph from 1-based (tail, head) pairs.
 
@@ -77,15 +66,11 @@ def build_graph(edge_list, n: int) -> NetworkGraph:
     return NetworkGraph(n=n, m=m, edges=edges, phi_minus=phi_minus, phi_plus=phi_plus)
 
 
-def line_graph_adjacency(g: NetworkGraph) -> LineGraphAdjacency:
-    """Adjacency of the line graph: b = support of phi_minus^T phi_plus."""
+def line_graph_adjacency(g: NetworkGraph) -> np.ndarray:
+    """Read-only 0/1 edge adjacency b of the line graph: the support of phi_minus^T phi_plus."""
     b = (g.phi_minus.T @ g.phi_plus > 0).astype(np.int64)
     b.setflags(write=False)
-    return LineGraphAdjacency(b=b)
-
-
-def _matrix(adj: LineGraphAdjacency | np.ndarray) -> np.ndarray:
-    return adj.b if isinstance(adj, LineGraphAdjacency) else np.asarray(adj)
+    return b
 
 
 def _bfs_levels(b: np.ndarray) -> np.ndarray:
@@ -104,7 +89,7 @@ def _bfs_levels(b: np.ndarray) -> np.ndarray:
     return level
 
 
-def is_strongly_connected(adj: LineGraphAdjacency | np.ndarray) -> bool:
+def is_strongly_connected(b: np.ndarray) -> bool:
     """True iff b is irreducible, i.e. the edge-node digraph is a single SCC.
 
     Checked by BFS reachability from node 0, forward along the arcs and
@@ -113,14 +98,13 @@ def is_strongly_connected(adj: LineGraphAdjacency | np.ndarray) -> bool:
     (b = [[1]]); the zero 1x1 matrix has no cycles and is treated as
     reducible.
     """
-    b = _matrix(adj)
     m = b.shape[0]
     if m <= 1:
         return m == 1 and bool(b[0, 0] != 0)
     return bool((_bfs_levels(b) >= 0).all() and (_bfs_levels(b.T) >= 0).all())
 
 
-def cyclic_index(adj: LineGraphAdjacency | np.ndarray) -> int:
+def cyclic_index(b: np.ndarray) -> int:
     """Index of imprimitivity: gcd of the lengths of all directed cycles.
 
     Requires an irreducible matrix. Computed from the forward BFS levels of
@@ -128,7 +112,6 @@ def cyclic_index(adj: LineGraphAdjacency | np.ndarray) -> int:
     level(u) + 1 - level(v) to the gcd, which for a strongly connected
     digraph equals the cycle-length gcd without enumerating cycles.
     """
-    b = _matrix(adj)
     if not is_strongly_connected(b):
         raise GraphError("cyclic index is defined only for irreducible matrices")
     level = _bfs_levels(b)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ScheduleError
-from .graph import LineGraphAdjacency, NetworkGraph, line_graph_adjacency
+from .graph import NetworkGraph, line_graph_adjacency
 
 FLOW = "flow"
 ALLOCATION = "allocation"
@@ -161,31 +161,30 @@ def assemble_weighted_adjacency(
             entries[(k, l)] = w
     try:
         return TimeVaryingMatrix(dim=g.m, entries=entries, kind=FLOW,
-                                 adjacency=line_graph_adjacency(g).b)
+                                 adjacency=line_graph_adjacency(g))
     except ScheduleError:  # name the weight the user wrote, not an entry it fills
         (i, j), w = next(kv for kv in parsed.items() if not ex.is_periodic_in_time(kv[1]))
         raise _not_periodic(f"weight ({i},{j})", w) from None
 
 
 def assemble_allocation(
-    adj: LineGraphAdjacency,
+    adj: np.ndarray,
     entries: Mapping[tuple[int, int], ExprLike],
 ) -> TimeVaryingMatrix:
     """Build the allocation-kind matrix from explicit (k, l) proportions."""
+    m = adj.shape[0]
     parsed: dict[tuple[int, int], ex.Expr] = {}
     for (k, l), value in entries.items():
-        if not (1 <= k <= adj.m and 1 <= l <= adj.m) or adj.b[k - 1, l - 1] == 0:
+        if not (1 <= k <= m and 1 <= l <= m) or adj[k - 1, l - 1] == 0:
             raise ScheduleError(
                 f"entry ({k},{l}): edge {l} does not flow into edge {k} "
                 "(support violation: flow only takes place on edges of the network)"
             )
         parsed[(k, l)] = _as_expr(value)
-    return TimeVaryingMatrix(dim=adj.m, entries=parsed, kind=ALLOCATION, adjacency=adj.b)
+    return TimeVaryingMatrix(dim=m, entries=parsed, kind=ALLOCATION, adjacency=adj)
 
 
-def embed_junctions(
-    adj: LineGraphAdjacency, junctions: list[JunctionAllocation]
-) -> TimeVaryingMatrix:
+def embed_junctions(adj: np.ndarray, junctions: list[JunctionAllocation]) -> TimeVaryingMatrix:
     """Assemble the network allocation matrix from junction blocks.
 
     Every edge must appear as "incoming" in exactly one junction (each edge
@@ -194,7 +193,7 @@ def embed_junctions(
     is embedded transposed: entry (k, l) of the result is junction row l,
     column k.
     """
-    m = adj.m
+    m = adj.shape[0]
     owner: dict[int, int] = {}
     for idx, junction in enumerate(junctions):
         for l in junction.incoming:
@@ -216,7 +215,7 @@ def embed_junctions(
     for idx, junction in enumerate(junctions):
         out_set = set(junction.outgoing)
         for l in junction.incoming:
-            followers = {k for k in range(1, m + 1) if adj.b[k - 1, l - 1] == 1}
+            followers = {k for k in range(1, m + 1) if adj[k - 1, l - 1] == 1}
             if followers != out_set:
                 raise ScheduleError(
                     f"junction {idx}: outgoing set {sorted(out_set)} does not match the "
@@ -228,7 +227,7 @@ def embed_junctions(
         for row, l in enumerate(junction.incoming):
             for col, k in enumerate(junction.outgoing):
                 entries[(k, l)] = junction.entries[row][col]
-    return TimeVaryingMatrix(dim=m, entries=entries, kind=ALLOCATION, adjacency=adj.b)
+    return TimeVaryingMatrix(dim=m, entries=entries, kind=ALLOCATION, adjacency=adj)
 
 
 @dataclass(frozen=True)

@@ -7,23 +7,26 @@ computed combinatorially from the support pattern; the number of peripheral
 eigenvalues of the sampled matrix provides an independent spectral route to
 the same number, which the tests cross-check.
 
-Support patterns are surveyed in one place, _survey_support: it samples the
-pattern at each time, hashes it, and checks each distinct pattern once.
+Support patterns are surveyed in one place, _survey_support. It evaluates
+the schedule once on the sample times, as a table of the distinct
+expressions, and tells patterns apart by the table rows' entries above
+zero_tol; each distinct pattern is built, hashed and checked once.
 validation_summary, asymptotic_period and, through the period report,
-strictly_positive_shortcut all read that one survey.
+strictly_positive_shortcut all read that one survey; asymptotic_period runs
+each sample's eigensolve on the survey's table, one dense matrix at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import HypothesisError, SpectralError
 from .evolution import InitialData, propagate_many, write_csv_rows
-from .graph import LineGraphAdjacency, cyclic_index, is_strongly_connected
+from .graph import cyclic_index, is_strongly_connected
 from .schedules import TimeVaryingMatrix, support_pattern
 
 
@@ -67,12 +70,7 @@ class PeriodSample:
     peripheral_count: int
 
     def to_json(self) -> dict:
-        return {
-            "time": self.time,
-            "pattern_hash": self.pattern_hash,
-            "cyclic_index": self.cyclic_index,
-            "peripheral_count": self.peripheral_count,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -109,6 +107,7 @@ def default_sample_times(M: TimeVaryingMatrix, per_period: int = 64) -> tuple[fl
 class _SupportSurvey:
     """Support patterns at each sample time; each distinct one checked once."""
 
+    table: np.ndarray  # M.table(sample_times)
     hashes: tuple[str, ...]
     patterns: dict[str, np.ndarray]
     cyclic_indices: dict[str, int | None]
@@ -116,38 +115,40 @@ class _SupportSurvey:
 
 
 def _survey_support(M: TimeVaryingMatrix, sample_times, zero_tol: float) -> _SupportSurvey:
-    """Sample, hash and check the support pattern at every time.
+    """Evaluate the schedule once on the sample times and check each distinct pattern.
 
-    Distinct patterns keep their first-seen order. A pattern whose active
-    edges are not strongly connected gets cyclic index None, and the time it
-    was first seen goes into reducible_times.
+    A time's pattern is known by its table row's entries above zero_tol: each
+    distinct expression fills at least one entry and absent entries are 0, so
+    rows and patterns correspond one to one. The first time a row appears,
+    support_pattern builds its dense pattern. Distinct patterns keep their
+    first-seen order. A pattern whose active edges are not strongly connected
+    gets cyclic index None, and the time it was first seen goes into
+    reducible_times.
     """
-    hashes = []
+    table = M.table(sample_times)
+    rows = [row.tobytes() for row in np.abs(table) > zero_tol]
+    digests: dict[bytes, str] = {}
     patterns: dict[str, np.ndarray] = {}
     cyclic_indices: dict[str, int | None] = {}
     reducible = []
-    for t in sample_times:
-        pattern = support_pattern(M, float(t), zero_tol)
-        digest = pattern_hash(pattern)
-        hashes.append(digest)
-        if digest in patterns:
+    for t, row in zip(sample_times, rows):
+        if row in digests:
             continue
+        pattern = support_pattern(M, float(t), zero_tol)
+        digest = digests[row] = pattern_hash(pattern)
         patterns[digest] = pattern
         active, sub = active_subpattern(pattern)
-        if active.size and is_strongly_connected(LineGraphAdjacency(sub)):
-            cyclic_indices[digest] = cyclic_index(LineGraphAdjacency(sub))
+        if active.size and is_strongly_connected(sub):
+            cyclic_indices[digest] = cyclic_index(sub)
         else:
             cyclic_indices[digest] = None
             reducible.append(t)
-    return _SupportSurvey(tuple(hashes), patterns, cyclic_indices, tuple(reducible))
+    hashes = tuple(digests[row] for row in rows)
+    return _SupportSurvey(table, hashes, patterns, cyclic_indices, tuple(reducible))
 
 
 def asymptotic_period(
-    M: TimeVaryingMatrix,
-    sample_times=None,
-    zero_tol: float = 1e-12,
-    *,
-    eigen_eps: float = 1e-6,
+    M: TimeVaryingMatrix, sample_times=None, zero_tol: float = 1e-12
 ) -> PeriodReport:
     """Cyclic index at each sample time and their least common multiple.
 
@@ -171,9 +172,9 @@ def asymptotic_period(
             time=float(t),
             pattern_hash=digest,
             cyclic_index=survey.cyclic_indices[digest],
-            peripheral_count=peripheral_count(M.at(float(t)), eigen_eps),
+            peripheral_count=peripheral_count(M.scatter(row[None])[0]),
         )
-        for t, digest in zip(sample_times, survey.hashes)
+        for t, digest, row in zip(sample_times, survey.hashes, survey.table)
     )
     tau = math.lcm(*(s.cyclic_index for s in samples))
     return PeriodReport(samples=samples, tau=tau, distinct_patterns=survey.patterns)
@@ -198,13 +199,6 @@ class ConvergenceTrace:
     elapsed: tuple[float, ...]
     deviation: tuple[float, ...]
     rate: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "elapsed": list(self.elapsed),
-            "deviation": list(self.deviation),
-            "rate": self.rate,
-        }
 
     def write_csv(self, path) -> None:
         write_csv_rows(path, "t,delta",

@@ -234,9 +234,9 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--force", "--t-end", "1"],
+    ["simulate", "--force", "--t-end", "1", "--out", "field.csv"],
     ["period", "--force", "--samples", "8"],
-    ["converge", "--force", "--samples", "8"],
+    ["converge", "--force", "--samples", "8", "--out", "trace.csv"],
 ])
 def test_force_and_samples_parse_where_read(argv):
     args = build_parser().parse_args(argv + ["--scenario", "example1"])
@@ -285,6 +285,9 @@ def test_validate_out_writes_json_copy(tmp_path, capsys):
 
 
 def test_simulate_without_out_is_usage_error(capsys):
-    code, _, err = run(capsys, ["simulate", "--scenario", "example1", "--t-end", "1.0"])
-    assert code == 2
-    assert "--out" in err
+    # argparse refuses the command before the scenario, here a missing file, loads
+    for argv in (["simulate", "--t-end", "1.0"], ["converge"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scenario", "no-such-scenario.json"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err

@@ -157,7 +157,7 @@ def test_random_allocation_mode_conserves_mass():
         adj = line_graph_adjacency(g)
         entries = {}
         for l in range(1, g.m + 1):
-            followers = [k for k in range(1, g.m + 1) if adj.b[k - 1, l - 1]]
+            followers = [k for k in range(1, g.m + 1) if adj[k - 1, l - 1]]
             raw = [rng.uniform(0.2, 1.0) for _ in followers]
             total = sum(raw)
             consts = [r / total for r in raw]
@@ -350,7 +350,7 @@ def test_initial_from_evolution_evolves_once_per_evaluate(monkeypatch):
     f = smooth_initial(6)
     restart = initial_from_evolution(M, f, 0.2, 3.7)
     xs = midpoints(40)
-    expected = np.stack([p(xs) for p in restart.profiles])
+    expected = _evolve(M, f, 0.2, 3.7, xs)
     calls = []
     monkeypatch.setattr(evolution, "_evolve", lambda *a: calls.append(a) or _evolve(*a))
     assert np.array_equal(restart.evaluate(xs), expected)

@@ -8,7 +8,6 @@ import pytest
 import helpers
 from flownet import (
     GraphError,
-    LineGraphAdjacency,
     build_graph,
     cyclic_index,
     is_strongly_connected,
@@ -51,15 +50,15 @@ def test_example1_support_matches_printed_matrix():
     expected = np.zeros((6, 6), dtype=np.int64)
     for k, l in [(1, 4), (2, 1), (3, 2), (3, 6), (4, 3), (5, 3), (6, 5)]:
         expected[k - 1, l - 1] = 1
-    assert np.array_equal(adj.b, expected)
+    assert np.array_equal(adj, expected)
     # product with unit weights reproduces the same support
     product = g.phi_minus.T @ g.phi_plus
     assert np.array_equal((product > 0).astype(int), expected)
 
 
 def test_line_graph_trivial_cases():
-    assert line_graph_adjacency(helpers.two_cycle_graph()).b.tolist() == [[0, 1], [1, 0]]
-    assert line_graph_adjacency(build_graph([(1, 1)], 1)).b.tolist() == [[1]]
+    assert line_graph_adjacency(helpers.two_cycle_graph()).tolist() == [[0, 1], [1, 0]]
+    assert line_graph_adjacency(build_graph([(1, 1)], 1)).tolist() == [[1]]
 
 
 def test_strong_connectivity_examples():
@@ -128,12 +127,12 @@ def test_vertex_relabeling_leaves_line_graph_unchanged():
         perm = list(range(1, g.n + 1))
         rng.shuffle(perm)
         relabeled = build_graph([(perm[t - 1], perm[h - 1]) for t, h in g.edges], g.n)
-        assert np.array_equal(line_graph_adjacency(g).b, line_graph_adjacency(relabeled).b)
+        assert np.array_equal(line_graph_adjacency(g), line_graph_adjacency(relabeled))
 
 
-def test_adjacency_wrapper_round_trip():
-    b = line_graph_adjacency(helpers.example1_graph()).b
-    assert cyclic_index(LineGraphAdjacency(b)) == cyclic_index(b)
+def test_line_graph_adjacency_is_a_read_only_int64_array():
+    b = line_graph_adjacency(helpers.example1_graph())
+    assert isinstance(b, np.ndarray) and b.dtype == np.int64 and not b.flags.writeable
 
 
 def test_edge_irreducibility_equals_vertex_strong_connectivity():

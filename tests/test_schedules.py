@@ -88,13 +88,13 @@ def test_direct_matrix_construction_checks_periodicity():
     odd = parse_expr("cos(pi*t)")
     entries = {(2, 1): odd, (1, 2): odd}
     with pytest.raises(ScheduleError, match=r"entry \(1,2\): 'cos\(pi \* t\)'"):
-        TimeVaryingMatrix(dim=2, entries=entries, kind="allocation", adjacency=adj.b)
+        TimeVaryingMatrix(dim=2, entries=entries, kind="allocation", adjacency=adj)
     entries[(1, 2)] = parse_expr("sin(pi*t)")
     with pytest.raises(ScheduleError, match=r"entry \(1,2\): 'sin\(pi \* t\)'"):
-        TimeVaryingMatrix(dim=2, entries=entries, kind="allocation", adjacency=adj.b)
+        TimeVaryingMatrix(dim=2, entries=entries, kind="allocation", adjacency=adj)
     entries[(1, 2)] = parse_expr("cos(pi*t)^2")
     with pytest.raises(ScheduleError, match=r"entry \(2,1\)"):
-        TimeVaryingMatrix(dim=2, entries=entries, kind="allocation", adjacency=adj.b)
+        TimeVaryingMatrix(dim=2, entries=entries, kind="allocation", adjacency=adj)
 
 
 def test_hand_built_junction_is_checked_when_embedded():

@@ -20,7 +20,6 @@ from flownet import (
     strictly_positive_shortcut,
     validate_stochastic,
 )
-from flownet.graph import LineGraphAdjacency
 from flownet.spectral import active_subpattern
 
 
@@ -49,11 +48,11 @@ def test_peripheral_count_rejects_non_stochastic():
 def test_peripheral_count_examples_match_cyclic_index():
     M1 = example1_matrix()
     assert peripheral_count(M1.at(0.0)) == 1
-    assert cyclic_index(LineGraphAdjacency(M1.adjacency)) == 1
+    assert cyclic_index(M1.adjacency) == 1
 
     M2 = example2_matrix()
     assert peripheral_count(M2.at(0.25)) == 2
-    assert cyclic_index(LineGraphAdjacency(M2.adjacency)) == 2
+    assert cyclic_index(M2.adjacency) == 2
 
 
 def test_asymptotic_period_example1():
@@ -111,7 +110,7 @@ def test_shortcut_constant_network_equals_static_index():
     report = asymptotic_period(M)
     assert report.tau == 2
     assert strictly_positive_shortcut(M, report) == 2
-    assert strictly_positive_shortcut(M, report) == cyclic_index(LineGraphAdjacency(M.adjacency))
+    assert strictly_positive_shortcut(M, report) == cyclic_index(M.adjacency)
 
 
 def test_shortcut_needs_the_static_adjacency_not_just_one_pattern():
