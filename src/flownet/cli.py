@@ -38,6 +38,8 @@ def _emit(payload: dict, out=None) -> None:
 def _load(args) -> Scenario:
     sc = load_scenario(args.scenario)
     if args.grid is not None:
+        if args.grid < 1:
+            raise FlownetError(f"--grid must be at least 1, got {args.grid}")
         sc = dataclasses.replace(sc, resolution=int(args.grid))
     if args.tol is not None:
         sc = dataclasses.replace(

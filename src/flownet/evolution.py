@@ -16,6 +16,17 @@ take their one or two extra mat-vecs, then binary powering on the vector
 costs bit_length(k0) - 1 squarings (m^3) and popcount(k0) mat-vecs (m^2) per
 grid point. An independent first-order upwind oracle cross-checks it.
 
+The grid is powered in chunks. The schedule table (one column per distinct
+expression, N x d values) is evaluated once for the whole grid; each chunk of
+max(1, _CHUNK_BYTES // (8 m^2)) points scatters its rows into a dense stack
+and takes its extra steps and its powering there. k0 and the extra-step range
+are the whole grid's, so a point takes the same products in whatever chunk it
+falls, and the values are bitwise those of one whole-grid stack. Memory is
+O(N (m + d)) for the data, the state and the table, plus one chunk's two
+stacks. The layout is kept too: a powered state (k0 >= 1) is Fortran-ordered,
+as einsum returns it, and an unpowered one is the data's C-ordered array;
+l1_norm sums in layout order.
+
 Many query times share work through the one-period recurrence. Two times
 that differ by a whole number of periods see the same phase (t + x) mod 1 at
 every grid point, hence the same A, and u(x, t + n) = A^n u(x, t).
@@ -39,6 +50,12 @@ import numpy as np
 from . import expr as ex
 from .errors import EvolutionError
 from .schedules import TimeVaryingMatrix
+
+# Bytes of one (chunk, m, m) stack, about a core's L2 cache: _evolve powers
+# the grid in chunks of max(1, _CHUNK_BYTES // (8 m^2)) points.
+_CHUNK_BYTES = 2 << 20
+# Beyond this t - s, x + t - s no longer tells the grid points apart.
+_MAX_SPAN = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -124,9 +141,11 @@ class EdgeDensityField:
 
     def write_csv(self, path) -> None:
         """Rows `edge,x,value,t,s`, one per (edge, grid point)."""
-        xs = [repr(x) for x in self.grid().tolist()]
+        # One row template per grid point, joined by the edge number; %r is
+        # repr, and neither the x nor the tail fields can hold a %.
         tail = f",{self.time!r},{self.origin!r}\r\n"
-        rows = ("".join([f"{j},{x},{v!r}{tail}" for x, v in zip(xs, row.tolist())])
+        template = [""] + [f",{x!r},%r{tail}" for x in self.grid().tolist()]
+        rows = (str(j).join(template) % tuple(row.tolist())
                 for j, row in enumerate(self.values, start=1))
         write_csv_rows(path, "edge,x,value,t,s", rows)
 
@@ -145,6 +164,11 @@ def midpoints(n: int) -> np.ndarray:
 
 def _characteristics(xs: np.ndarray, s: float, t: float):
     """(schedule phases, boundary crossings k, data points xi) of the closed form at xs."""
+    if not (np.isfinite(s) and np.isfinite(t)):
+        raise EvolutionError(f"start time {s} and query time {t} must be finite")
+    if t - s >= _MAX_SPAN:
+        raise EvolutionError(f"t - s = {t - s!r} is at least 2**53: x + t - s no longer "
+                             "resolves the grid")
     z = xs + (t - s)
     ks = np.floor(z).astype(np.int64)
     return np.mod(t + xs, 1.0), ks, z - ks
@@ -163,14 +187,29 @@ def _evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, xs: np.nda
     out = f.evaluate(xi)
     if not ks.any():  # the start-time state: A^0 is the identity
         return out
+    # k0 and the extra-step range are the whole grid's, and a powered result
+    # keeps einsum's Fortran order (l1_norm sums in layout order): values and
+    # layout stay bitwise those of one whole-grid stack.
+    table = M.table(phases)
+    k0, kmax = int(ks.min()), int(ks.max())
+    result = out if k0 == 0 else np.empty(out.shape, order="F")
+    step = max(1, _CHUNK_BYTES // (8 * M.dim ** 2))
+    for lo in range(0, len(xs), step):
+        hi = lo + step
+        result[:, lo:hi] = _power_chunk(M.scatter(table[lo:hi]), out[:, lo:hi],
+                                        ks[lo:hi], k0, kmax)
+    return result
+
+
+def _power_chunk(base: np.ndarray, out: np.ndarray, ks: np.ndarray, k0: int, kmax: int):
+    """A^k of one chunk's vectors out, given its stack base of A, in two stacks."""
     # Positions above k0 (by one, or two where rounding moves x = 0 and x = 1
-    # across crossings) take extra mat-vecs on the whole stack, gathering no
-    # rows; then all take A^k0 by binary powering on the vector, in two stacks.
-    base = M.at_times(phases)
-    k0 = int(ks.min())
-    for above in range(k0 + 1, int(ks.max()) + 1):
+    # across crossings) take extra mat-vecs on the whole chunk, gathering no
+    # rows; then all take A^k0 by binary powering on the vector.
+    for above in range(k0 + 1, kmax + 1):
         extra = ks >= above
-        out[:, extra] = np.einsum("rij,jr->ir", base, out)[:, extra]
+        if extra.any():
+            out[:, extra] = np.einsum("rij,jr->ir", base, out)[:, extra]
     spare = None
     while k0:
         if k0 & 1:

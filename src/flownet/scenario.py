@@ -22,6 +22,7 @@ junction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -156,7 +157,7 @@ def scenario_from_dict(doc) -> Scenario:
     initial = _initial_data(g, doc.get("initial"))
 
     s = doc.get("s", 0.0)
-    _require(isinstance(s, (int, float)), "'s' must be a number", "/s")
+    _require(isinstance(s, (int, float)) and math.isfinite(s), "'s' must be a finite number", "/s")
     N = doc.get("N", 400)
     _require(isinstance(N, int) and N >= 1, "'N' must be a positive integer", "/N")
     vgrid = doc.get("validation_grid", 1001)

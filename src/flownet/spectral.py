@@ -226,6 +226,10 @@ def convergence_diagnostic(
     The states stream from propagate_many in time order; a state is kept only
     while its t + tau partner is still to come.
     """
+    if tau < 1:
+        raise HypothesisError(f"tau must be a positive whole number of periods, got {tau}")
+    if not (math.isfinite(horizon) and math.isfinite(stride)):
+        raise HypothesisError(f"horizon {horizon} and stride {stride} must be finite")
     if horizon < 2 * tau:
         raise HypothesisError(f"horizon {horizon} must be at least 2*tau = {2 * tau}")
     if stride <= 0:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flownet
 import helpers
 from flownet.cli import build_parser, main
 
@@ -291,3 +296,35 @@ def test_simulate_without_out_is_usage_error(capsys):
             main(argv + ["--scenario", "no-such-scenario.json"])
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
+
+
+def run_process(argv, cwd):
+    """The CLI in a child process, so that a hang fails the test by timeout."""
+    src = str(Path(flownet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "flownet", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv,code,needle", [
+    (["simulate", "--t-end", "nan"], 2, "finite"),
+    (["simulate", "--t-end", "inf"], 2, "finite"),
+    (["simulate", "--t-end", "1e300"], 2, "2**53"),
+    (["converge", "--horizon", "inf"], 1, "finite"),
+    (["converge", "--horizon", "nan"], 1, "finite"),
+    (["converge", "--stride", "nan"], 1, "finite"),
+    (["converge", "--tau", "0"], 1, "tau"),
+    (["simulate", "--grid", "0", "--t-end", "1"], 2, "--grid"),
+    (["validate", "--grid", "-3"], 2, "--grid"),
+    (["period", "--grid", "0"], 2, "--grid"),
+    (["converge", "--grid", "0"], 2, "--grid"),
+])
+def test_degenerate_arguments_fail_in_one_line(tmp_path, argv, code, needle):
+    if argv[0] in ("simulate", "converge"):
+        argv = argv + ["--out", "out.csv"]
+    done = run_process(argv + ["--scenario", "example1"], tmp_path)
+    assert done.returncode == code, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert needle in done.stderr

@@ -17,6 +17,7 @@ from flownet import (
     l1_norm,
     oracle_characteristics,
     propagate,
+    propagate_many,
 )
 from flownet import evolution
 from flownet.evolution import PiecewiseProfile, _evolve, midpoints
@@ -80,6 +81,26 @@ def test_preconditions():
         evaluate_evolution(M, f, 0.0, 1.0, 1.5)
     with pytest.raises(EvolutionError):
         propagate(M, f, 0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("s,t", [
+    (0.0, float("nan")), (0.0, float("inf")), (float("nan"), 1.0),
+    (float("-inf"), 1.0), (0.0, 2.0 ** 53), (-1e300, 1e300),
+])
+def test_non_finite_and_unresolvable_times_are_rejected(s, t):
+    M, f = example1_setup()
+    with pytest.raises(EvolutionError):
+        evaluate_evolution(M, f, s, t, 0.5)
+    with pytest.raises(EvolutionError):
+        propagate(M, f, s, t, 10)
+    with pytest.raises(EvolutionError):
+        list(propagate_many(M, f, s, [t], 10))
+
+
+def test_last_resolvable_span_is_evaluated():
+    M, f = example1_setup()
+    t = 2.0 ** 53 - 2.0
+    assert np.isfinite(evaluate_evolution(M, f, 0.0, t, 0.5)).all()
 
 
 def test_l1_norm_constants_exact():
@@ -333,6 +354,93 @@ def test_evolve_memory_stays_within_two_stacks():
         assert peak < bound * stack_bytes, (t, peak / stack_bytes)
 
 
+def _evolve_whole_grid(M, f, s, t, xs):
+    """_evolve before chunking: one (N, m, m) stack for the whole grid. The
+    oracle for the chunked values and their memory layout."""
+    phases, ks, xi = evolution._characteristics(xs, s, t)
+    out = f.evaluate(xi)
+    if not ks.any():
+        return out
+    base = M.at_times(phases)
+    k0 = int(ks.min())
+    for above in range(k0 + 1, int(ks.max()) + 1):
+        extra = ks >= above
+        out[:, extra] = np.einsum("rij,jr->ir", base, out)[:, extra]
+    spare = None
+    while k0:
+        if k0 & 1:
+            out = np.einsum("rij,jr->ir", base, out)
+        k0 >>= 1
+        if k0:
+            base, spare = np.matmul(base, base, out=spare), base
+    return out
+
+
+def ring_setup(n):
+    g, weights = helpers.ring_network(random.Random(5), n)
+    return assemble_weighted_adjacency(g, weights), smooth_initial(g.m)
+
+
+def chunk_points(m):
+    return max(1, evolution._CHUNK_BYTES // (8 * m * m))
+
+
+def assert_same_as_whole_grid(M, f, s, t, xs):
+    got = _evolve(M, f, s, t, xs)
+    expected = _evolve_whole_grid(M, f, s, t, xs)
+    assert got.tobytes("A") == expected.tobytes("A"), (len(xs), t - s)
+    assert got.flags.f_contiguous == expected.flags.f_contiguous, (len(xs), t - s)
+    assert got.flags.c_contiguous == expected.flags.c_contiguous, (len(xs), t - s)
+
+
+@pytest.mark.parametrize("span", [0.0, 0.3, 1.0, 7.5, 1000.5])
+def test_chunked_evolve_is_bitwise_the_whole_grid(span):
+    M, f = ring_setup(8)  # m = 24
+    c = chunk_points(M.dim)
+    assert c > 1
+    s = 0.2
+    for N in (1, c - 1, c, c + 1, 3 * c + 7):
+        assert_same_as_whole_grid(M, f, s, s + span, midpoints(N))
+
+
+def test_chunked_evolve_one_point_per_chunk():
+    M, f = ring_setup(171)  # m = 513: one stack of one point exceeds the budget
+    assert chunk_points(M.dim) == 1
+    for span in (0.0, 0.3, 1.0, 7.5):
+        assert_same_as_whole_grid(M, f, 0.2, 0.2 + span, midpoints(4))
+
+
+def test_chunks_power_from_the_global_least_crossing():
+    # Above x = 1/2 every chunk crosses k0 + 1 times: powering such a chunk
+    # from its own least crossing groups the products differently.
+    M, f = ring_setup(8)
+    c = chunk_points(M.dim)
+    xs = midpoints(3 * c + 7)
+    for span in (7.5, 1000.5):
+        ks = evolution._characteristics(xs, 0.0, span)[1]
+        assert any(ks[lo:lo + c].min() > ks.min() for lo in range(0, len(xs), c))
+        assert_same_as_whole_grid(M, f, 0.0, span, xs)
+
+
+@pytest.mark.parametrize("N", [20000, 100000])
+def test_evolve_memory_grows_with_grid_times_edges_only(N):
+    # The state, the data, the characteristics and the schedule table grow
+    # with N*m and N*d; the stacks are one chunk's, whatever N. The
+    # whole-grid version peaked at 2 * N * m^2 * 8 bytes: 184 MB at N = 20000.
+    M, f = ring_setup(8)
+    m, d = M.dim, len(M.table([0.0])[0])
+    xs = midpoints(N)
+    _evolve(M, f, 0.0, 3.5, midpoints(10))  # one-time allocations are not charged
+    tracemalloc.start()
+    try:
+        _evolve(M, f, 0.0, 1000.5, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = (3 * m + d + 8) * N * 8 + 3 * evolution._CHUNK_BYTES
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
 def test_start_time_state_needs_no_schedule(monkeypatch):
     M, _ = example1_setup()
     f = smooth_initial(6)
@@ -340,7 +448,7 @@ def test_start_time_state_needs_no_schedule(monkeypatch):
     def no_schedule(self, ts):
         raise AssertionError("the start-time state evaluated the schedule")
 
-    monkeypatch.setattr(type(M), "at_times", no_schedule)
+    monkeypatch.setattr(type(M), "table", no_schedule)
     xs = midpoints(257)
     assert np.array_equal(_evolve(M, f, 0.0, 0.0, xs), f.evaluate(xs))
 

@@ -194,6 +194,16 @@ def test_unknown_tolerance_key(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_start_time_rejected(tmp_path, s):
+    # Python's json reads NaN and Infinity
+    doc = helpers.base_flow_scenario()
+    doc["s"] = s
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(helpers.write_scenario(tmp_path, doc))
+    assert err.value.pointer == "/s"
+
+
 def test_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -265,6 +265,21 @@ def test_convergence_rejects_short_horizon():
         convergence_diagnostic(M, f, 0.0, 2, horizon=3.0)
 
 
+@pytest.mark.parametrize("tau,horizon,stride", [
+    (0, 10.0, 1.0),
+    (-1, 10.0, 1.0),
+    (1, float("inf"), 1.0),
+    (1, float("nan"), 1.0),
+    (1, 10.0, float("nan")),
+    (1, 10.0, float("inf")),
+])
+def test_convergence_rejects_degenerate_parameters(tau, horizon, stride):
+    M = example1_matrix()
+    f = InitialData.constant([1.0] * 6)
+    with pytest.raises(HypothesisError):
+        convergence_diagnostic(M, f, 0.0, tau, horizon=horizon, N=10, stride=stride)
+
+
 def test_default_sample_times_include_trig_criticals():
     times = default_sample_times(example2_matrix())
     assert 0.0 in times and 0.5 in times
