@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 
-from .errors import FlownetError, HypothesisError, ScenarioError, SpectralError
+from .errors import FlownetError, HypothesisError, SpectralError
 from .evolution import l1_norm, propagate
 from .scenario import Scenario, load_scenario, validation_summary
 from .spectral import (
@@ -66,12 +66,7 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     sc = _load(args)
     _ensure_valid(sc, args)
-    t_end = args.t_end
-    if t_end < sc.start_time:
-        print(f"error: t-end {t_end} precedes scenario start time {sc.start_time}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    field = propagate(sc.matrix, sc.initial, sc.start_time, t_end, sc.resolution)
+    field = propagate(sc.matrix, sc.initial, sc.start_time, args.t_end, sc.resolution)
     field.write_csv(args.out)
     initial_field = propagate(sc.matrix, sc.initial, sc.start_time, sc.start_time, sc.resolution)
     _, mass0 = l1_norm(initial_field)
@@ -83,7 +78,7 @@ def cmd_simulate(args) -> int:
         "initial_mass": mass0,
         "final_mass": mass1,
         "relative_drift": drift,
-        "t": t_end,
+        "t": args.t_end,
         "s": sc.start_time,
     })
     return EXIT_OK
@@ -176,9 +171,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (HypothesisError, SpectralError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED

@@ -77,10 +77,10 @@ def _tokenize(source: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or c == ".":
+        if c.isdecimal() or c == ".":
             j = i
             seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+            while j < n and (source[j].isdecimal() or (source[j] == "." and not seen_dot)):
                 if source[j] == ".":
                     seen_dot = True
                 j += 1
@@ -240,7 +240,10 @@ def _eval(e: Expr, v):
         base = _eval(e.base, v)
         if e.exponent < 0 and np.any(base == 0):
             raise ExprEvalError("zero raised to a negative power")
-        return base ** e.exponent
+        try:
+            return base ** e.exponent
+        except OverflowError:  # a float constant; arrays overflow to inf
+            raise ExprEvalError(f"{base!r}^{e.exponent} overflows") from None
     if isinstance(e, Trig):
         arg = _eval(e.arg, v)
         return np.sin(arg) if e.func == "sin" else np.cos(arg)
@@ -295,19 +298,23 @@ def to_source(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _nodes(e: Expr):
+    """e and every expression nested in it."""
+    yield e
+    if isinstance(e, Neg):
+        yield from _nodes(e.operand)
+    elif isinstance(e, BinOp):
+        yield from _nodes(e.left)
+        yield from _nodes(e.right)
+    elif isinstance(e, Power):
+        yield from _nodes(e.base)
+    elif isinstance(e, Trig):
+        yield from _nodes(e.arg)
+
+
 def depends_on_var(e: Expr) -> bool:
     """Whether the free variable occurs anywhere in the expression."""
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Neg):
-        return depends_on_var(e.operand)
-    if isinstance(e, BinOp):
-        return depends_on_var(e.left) or depends_on_var(e.right)
-    if isinstance(e, Power):
-        return depends_on_var(e.base)
-    if isinstance(e, Trig):
-        return depends_on_var(e.arg)
-    return False
+    return any(isinstance(node, Var) for node in _nodes(e))
 
 
 def _affine_in_var(e: Expr):
@@ -352,21 +359,28 @@ def _affine_in_var(e: Expr):
                 return None
         return None
     if isinstance(e, Trig):
-        arg = _affine_in_var(e.arg)
-        if arg is not None and arg[0] == 0.0:
+        line = _trig_line(e)
+        if line is not None and line[0] == 0.0:
             f = math.sin if e.func == "sin" else math.cos
-            return (0.0, f(arg[1]))
+            return (0.0, f(line[1]))
         return None
     return None
+
+
+def _trig_line(e: Trig) -> tuple[float, float] | None:
+    """(slope, intercept) of a trig's argument, or None unless it is affine in
+    the free variable with both finite."""
+    line = _affine_in_var(e.arg)
+    return line if line is not None and all(map(math.isfinite, line)) else None
 
 
 def is_periodic_in_time(e: Expr) -> bool:
     """Whether e provably has period 1 in the free variable, by shift parity.
 
     A subtree has parity p when e(t + 1) = p * e(t). Var-free subtrees are
-    even; sin/cos of k*pi*t + c, k an integer, has parity (-1)^k; '*', '/' and
-    '^' multiply parities; both sides of '+'/'-' must share one; t anywhere
-    else has none. The whole must be even, so the odd cos(pi*t) fails. The
+    even; sin/cos of k*pi*t + c, k an integer below 2**49 in magnitude and c
+    finite, has parity (-1)^k; '*', '/' and '^' multiply parities; both sides
+    of '+'/'-' must share one; t anywhere else has none. The whole must be even, so the odd cos(pi*t) fails. The
     check is sound, not complete: it also fails 1-periodic sin(cos(2*pi*t)).
     """
     return _shift_parity(e) == 1
@@ -374,13 +388,16 @@ def is_periodic_in_time(e: Expr) -> bool:
 
 def _shift_parity(e: Expr) -> int | None:
     """1 or -1 by the rules of is_periodic_in_time, or None if unknown."""
-    if not depends_on_var(e):
+    if isinstance(e, (Num, Pi)):
         return 1
     if isinstance(e, Trig):
-        arg = _affine_in_var(e.arg)
-        k = None if arg is None else arg[0] / math.pi
-        # an integer within a few ulps, which float rounding of k*pi needs
-        if k is None or not math.isfinite(k) or abs(k - round(k)) > 4 * math.ulp(k):
+        line = _trig_line(e)
+        if line is None:
+            return None if depends_on_var(e.arg) else 1
+        k = line[0] / math.pi
+        # an integer within a few ulps, which float rounding of k*pi needs; from
+        # 2**49 on every float is that close to one, so the parity is unknown
+        if abs(k) >= 2 ** 49 or abs(k - round(k)) > 4 * math.ulp(k):
             return None
         return (-1) ** (round(k) % 2)
     if isinstance(e, Neg):
@@ -404,15 +421,10 @@ def critical_times(e: Expr) -> frozenset[float]:
     times augment any equispaced sampling of one period.
     """
     found: set[float] = set()
-    _collect_critical(e, found)
-    return frozenset(found)
-
-
-def _collect_critical(e: Expr, out: set[float]) -> None:
-    if isinstance(e, Trig):
-        arg = _affine_in_var(e.arg)
-        if arg is not None and arg[0] != 0.0:
-            slope, intercept = arg
+    for node in _nodes(e):
+        line = _trig_line(node) if isinstance(node, Trig) else None
+        if line is not None and line[0] != 0.0:
+            slope, intercept = line
             # quarter-period points: slope*t + intercept = j*pi/2
             j_lo = math.floor(2 * intercept / math.pi) - 1
             j_hi = math.ceil(2 * (slope + intercept) / math.pi) + 1
@@ -420,12 +432,5 @@ def _collect_critical(e: Expr, out: set[float]) -> None:
             for j in range(lo, hi + 1):
                 t = (j * math.pi / 2 - intercept) / slope
                 if 0.0 <= t < 1.0:
-                    out.add(t)
-        _collect_critical(e.arg, out)
-    elif isinstance(e, Neg):
-        _collect_critical(e.operand, out)
-    elif isinstance(e, BinOp):
-        _collect_critical(e.left, out)
-        _collect_critical(e.right, out)
-    elif isinstance(e, Power):
-        _collect_critical(e.base, out)
+                    found.add(t)
+    return frozenset(found)

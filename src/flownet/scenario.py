@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -86,6 +87,24 @@ def _require(condition: bool, message: str, pointer: str) -> None:
         raise ScenarioError(message, pointer)
 
 
+def _scalar(doc: dict, key: str, pointer: str, default, integer: bool = False,
+            low: float = -math.inf, strict: bool = False):
+    """doc[key], or default if absent: a JSON integer, or a finite number read
+    as a float, at least low (above low if strict). Else a ScenarioError at pointer."""
+    value = doc.get(key, default)
+    ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    if ok and not integer:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            ok = False
+        ok = ok and math.isfinite(value)
+    ok = ok and (value > low if strict else value >= low)
+    bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low}"
+    _require(ok, f"{key!r} must be {'an integer' if integer else 'a finite number'}{bound}", pointer)
+    return value
+
+
 def _parse_pair(key: str, pointer: str) -> tuple[int, int]:
     parts = key.split(",")
     _require(len(parts) == 2, f"key {key!r} must look like 'a,b'", pointer)
@@ -134,8 +153,9 @@ def scenario_from_dict(doc) -> Scenario:
             "each edge must be a [tail, head] pair of integers",
             f"/graph/edges/{idx}",
         )
+    n = _scalar(graph_doc, "n", "/graph/n", None, integer=True, low=1)
     try:
-        g = build_graph([tuple(pair) for pair in edges], int(graph_doc["n"]))
+        g = build_graph([tuple(pair) for pair in edges], n)
     except GraphError as err:
         raise ScenarioError(str(err), "/graph") from err
 
@@ -145,69 +165,48 @@ def scenario_from_dict(doc) -> Scenario:
     if mode == "flow":
         _require("weights" in doc, "flow mode needs 'weights'", "/weights")
         _require("junctions" not in doc, "'junctions' is only valid in atf mode", "/junctions")
-        matrix = _flow_matrix(g, doc["weights"])
+        matrix = _weights_matrix(doc["weights"], partial(assemble_weighted_adjacency, g))
     else:
         has_w, has_j = "weights" in doc, "junctions" in doc
         _require(has_w != has_j, "atf mode needs exactly one of 'weights' or 'junctions'", "")
         if has_w:
-            matrix = _atf_matrix(g, doc["weights"])
+            matrix = _weights_matrix(doc["weights"],
+                                     partial(assemble_allocation, line_graph_adjacency(g)))
         else:
             matrix = _junction_matrix(g, doc["junctions"])
 
     initial = _initial_data(g, doc.get("initial"))
 
-    s = doc.get("s", 0.0)
-    _require(isinstance(s, (int, float)) and math.isfinite(s), "'s' must be a finite number", "/s")
-    N = doc.get("N", 400)
-    _require(isinstance(N, int) and N >= 1, "'N' must be a positive integer", "/N")
-    vgrid = doc.get("validation_grid", 1001)
-    _require(
-        isinstance(vgrid, int) and vgrid >= 2,
-        "'validation_grid' must be an integer >= 2",
-        "/validation_grid",
-    )
     tol_doc = doc.get("tolerances", {})
     _require(isinstance(tol_doc, dict), "'tolerances' must be an object", "/tolerances")
     unknown = set(tol_doc) - {"stochastic", "zero"}
     _require(not unknown, f"unknown tolerance keys {sorted(unknown)}", "/tolerances")
     tolerances = Tolerances(
-        stochastic=float(tol_doc.get("stochastic", 1e-9)),
-        zero=float(tol_doc.get("zero", 1e-12)),
+        stochastic=_scalar(tol_doc, "stochastic", "/tolerances/stochastic", 1e-9, low=0, strict=True),
+        zero=_scalar(tol_doc, "zero", "/tolerances/zero", 1e-12, low=0),
     )
     return Scenario(
         graph=g,
         mode=mode,
         matrix=matrix,
         initial=initial,
-        start_time=float(s),
-        resolution=N,
-        validation_grid=vgrid,
+        start_time=_scalar(doc, "s", "/s", 0.0),
+        resolution=_scalar(doc, "N", "/N", 400, integer=True, low=1),
+        validation_grid=_scalar(doc, "validation_grid", "/validation_grid", 1001, integer=True, low=2),
         tolerances=tolerances,
     )
 
 
-def _flow_matrix(g: NetworkGraph, weights_doc) -> TimeVaryingMatrix:
+def _weights_matrix(weights_doc, assemble) -> TimeVaryingMatrix:
+    """The 'weights' object, keyed "a,b", parsed and passed to assemble."""
     _require(isinstance(weights_doc, dict) and weights_doc, "'weights' must be a nonempty object", "/weights")
     weights = {}
     for key, source in weights_doc.items():
         pointer = f"/weights/{key}"
-        i, j = _parse_pair(key, pointer)
-        weights[(i, j)] = _parse_weight(source, pointer)
+        a, b = _parse_pair(key, pointer)
+        weights[(a, b)] = _parse_weight(source, pointer)
     try:
-        return assemble_weighted_adjacency(g, weights)
-    except ScheduleError as err:
-        raise ScenarioError(str(err), "/weights") from err
-
-
-def _atf_matrix(g: NetworkGraph, weights_doc) -> TimeVaryingMatrix:
-    _require(isinstance(weights_doc, dict) and weights_doc, "'weights' must be a nonempty object", "/weights")
-    entries = {}
-    for key, source in weights_doc.items():
-        pointer = f"/weights/{key}"
-        k, l = _parse_pair(key, pointer)
-        entries[(k, l)] = _parse_weight(source, pointer)
-    try:
-        return assemble_allocation(line_graph_adjacency(g), entries)
+        return assemble(weights)
     except ScheduleError as err:
         raise ScenarioError(str(err), "/weights") from err
 
@@ -265,7 +264,7 @@ def _initial_data(g: NetworkGraph, initial_doc) -> InitialData:
                     PiecewiseProfile(tuple(float(b) for b in breaks),
                                      tuple(float(v) for v in values))
                 )
-            except (FlownetError, ValueError) as err:
+            except (FlownetError, ValueError, TypeError) as err:
                 raise ScenarioError(str(err), pointer) from err
         else:
             raise ScenarioError("initial density must be an expression string or "

@@ -139,8 +139,9 @@ def assemble_weighted_adjacency(
 ) -> TimeVaryingMatrix:
     """Build the flow-kind matrix from per-(vertex, outgoing edge) weights.
 
-    Entry (k, l) becomes the weight of (tail(e_k), e_k) whenever the head of
-    e_l is the tail of e_k. Weights may only be supplied on incident pairs.
+    Entry (k, l) becomes the weight of (tail(e_k), e_k) on each nonzero of the
+    line graph's adjacency b, where the head of e_l is the tail of e_k.
+    Weights may only be supplied on incident pairs.
     """
     parsed: dict[tuple[int, int], ex.Expr] = {}
     for (i, j), value in weights.items():
@@ -152,16 +153,14 @@ def assemble_weighted_adjacency(
             )
         parsed[(i, j)] = _as_expr(value)
 
+    b = line_graph_adjacency(g)
     entries: dict[tuple[int, int], ex.Expr] = {}
-    for k in range(1, g.m + 1):
+    for k, l in (np.argwhere(b) + 1).tolist():  # row-major (k, l), as Python ints
         w = parsed.get((g.tail(k), k))
-        if w is None:
-            continue
-        for l in g.in_edges(g.tail(k)):
+        if w is not None:
             entries[(k, l)] = w
     try:
-        return TimeVaryingMatrix(dim=g.m, entries=entries, kind=FLOW,
-                                 adjacency=line_graph_adjacency(g))
+        return TimeVaryingMatrix(dim=g.m, entries=entries, kind=FLOW, adjacency=b)
     except ScheduleError:  # name the weight the user wrote, not an entry it fills
         (i, j), w = next(kv for kv in parsed.items() if not ex.is_periodic_in_time(kv[1]))
         raise _not_periodic(f"weight ({i},{j})", w) from None

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import HypothesisError, SpectralError
-from .evolution import InitialData, propagate_many, write_csv_rows
+from .evolution import _MAX_SPAN, InitialData, propagate_many, write_csv_rows
 from .graph import cyclic_index, is_strongly_connected
 from .schedules import TimeVaryingMatrix, support_pattern
 
@@ -234,6 +234,11 @@ def convergence_diagnostic(
         raise HypothesisError(f"horizon {horizon} must be at least 2*tau = {2 * tau}")
     if stride <= 0:
         raise HypothesisError("stride must be positive")
+    # the states run to s + horizon + tau, and the loop below must end
+    if horizon + tau >= _MAX_SPAN:
+        raise HypothesisError(f"horizon + tau = {horizon + tau!r} is at least 2**53")
+    if (s + horizon) + stride == s + horizon:
+        raise HypothesisError(f"stride {stride!r} does not advance s + horizon = {s + horizon!r}")
     base_times = []
     j = 0
     while s + j * stride <= s + horizon + 1e-12:

@@ -223,6 +223,17 @@ def random_imprimitive_stochastic(rng: random.Random, m: int):
         return matrix, pattern
 
 
+def set_at(doc: dict, pointer: str, value) -> dict:
+    """Set the member a JSON pointer such as /tolerances/zero names, making
+    missing objects on the way; returns doc."""
+    *outer, key = pointer.strip("/").split("/")
+    target = doc
+    for part in outer:
+        target = target.setdefault(part, {})
+    target[key] = value
+    return doc
+
+
 def write_scenario(tmp_path, doc, name: str = "scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))

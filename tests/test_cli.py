@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -304,7 +305,12 @@ def run_process(argv, cwd):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-m", "flownet", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+
+
+def _limit_memory():
+    # a hang that also grows a list or a set must not take the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.mark.parametrize("argv,code,needle", [
@@ -319,6 +325,8 @@ def run_process(argv, cwd):
     (["validate", "--grid", "-3"], 2, "--grid"),
     (["period", "--grid", "0"], 2, "--grid"),
     (["converge", "--grid", "0"], 2, "--grid"),
+    (["converge", "--grid", "1", "--horizon", "1e300"], 1, "2**53"),
+    (["converge", "--grid", "1", "--stride", "1e-300"], 1, "does not advance"),
 ])
 def test_degenerate_arguments_fail_in_one_line(tmp_path, argv, code, needle):
     if argv[0] in ("simulate", "converge"):
@@ -328,3 +336,39 @@ def test_degenerate_arguments_fail_in_one_line(tmp_path, argv, code, needle):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
     assert needle in done.stderr
+
+
+_BIG = "1" + "0" * 300
+
+
+@pytest.mark.parametrize("pointer,value,needle", [
+    ("/graph/n", "x", "/graph/n"),
+    ("/graph/n", None, "/graph/n"),
+    ("/graph/n", 2.7, "/graph/n"),
+    ("/tolerances/stochastic", "a", "/tolerances/stochastic"),
+    ("/initial/1", {"breaks": [0, [1]], "values": [1]}, "/initial/1"),
+    ("/weights/1,1", "1²", "/weights/1,1"),
+    ("/weights/1,1", "2^100000", "overflows"),
+    ("/weights/1,1", f"sin(2*pi*t + {_BIG}*{_BIG})", "1-periodic"),
+    ("/weights/1,1", "cos(t/sin(pi))^2*0 + 1", "1-periodic"),
+], ids=["n-string", "n-null", "n-fraction", "stochastic-string", "breaks-list", "weight-superscript",
+        "weight-power-overflow", "weight-infinite-intercept", "weight-slope-past-2**49"])
+def test_malformed_scenario_fails_in_one_line(tmp_path, pointer, value, needle):
+    doc = helpers.set_at(helpers.base_flow_scenario(), pointer, value)
+    helpers.write_scenario(tmp_path, doc)
+    done = run_process(["validate", "--scenario", "scenario.json"], tmp_path)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert needle in done.stderr
+
+
+@pytest.mark.parametrize("command", [["validate"], ["simulate", "--t-end", "2", "--out", "o.csv"]])
+def test_weight_of_an_overflowing_constant_fails_without_traceback(tmp_path, command):
+    # cos(sin(inf)) is var-free, so the gate passes it; it evaluates to nan
+    doc = helpers.base_flow_scenario()
+    doc["weights"]["1,1"] = f"cos(pi*t)^2*cos(sin({_BIG}*{_BIG}))"
+    helpers.write_scenario(tmp_path, doc)
+    done = run_process(command + ["--scenario", "scenario.json"], tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr

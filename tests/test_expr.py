@@ -15,6 +15,7 @@ from flownet.expr import (
     Power,
     Trig,
     Var,
+    _nodes,
     critical_times,
     depends_on_var,
     is_periodic_in_time,
@@ -44,7 +45,8 @@ def test_syntax_error_offset_for_truncated_call():
     assert err.value.position == 4
 
 
-@pytest.mark.parametrize("source,offset", helpers.MALFORMED_CASES)
+# "²" is a digit to str.isdigit, but not a decimal digit that float() reads
+@pytest.mark.parametrize("source,offset", helpers.MALFORMED_CASES + [("1²", 1)])
 def test_malformed_inputs_report_position(source, offset):
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr(source)
@@ -134,6 +136,14 @@ def test_unary_minus_binds_before_power_per_grammar():
         ("sin(pi*t*3)^2", True),
         ("cos(pi*t/0.5)", True),
         ("cos(10^300*10^300*t)", False),
+        # from |slope/pi| = 2**49 on every float lies within 4 ulps of an
+        # integer, so the parity cannot be told; t/sin(pi) has slope/pi 2.6e15
+        ("cos(t/sin(pi))^2*0 + 1", False),
+        ("cos(562949953421312*pi*t)^2", False),
+        ("cos(562949953421311*pi*t)^2", True),
+        # an intercept that overflows: sin(2*pi*t + inf) is nan for every t
+        ("sin(2*pi*t + 10^300*10^300)", False),
+        ("cos(pi*t)^2*cos(sin(10^300*10^300))", True),
     ],
 )
 def test_periodicity_checker(source, expected):
@@ -217,7 +227,179 @@ def test_critical_times_quarter_points():
     quarters = critical_times(parse_expr("sin(2*pi*t)"))
     assert quarters == frozenset({0.0, 0.25, 0.5, 0.75})
     assert critical_times(parse_expr("0.5")) == frozenset()
+    # trig arguments with a non-finite slope or intercept have no quarter points
+    assert critical_times(parse_expr("cos(pi*t)^2*cos(sin(10^300*10^300))")) == {0.0, 0.5}
+    assert critical_times(parse_expr("sin(2*pi*t + 10^300*10^300)")) == frozenset()
+
+
+def test_constant_power_overflow_is_an_eval_error():
+    with pytest.raises(ExprEvalError, match="overflows"):
+        eval_expr(parse_expr("2^100000"), 0.0)
+    with pytest.raises(ExprEvalError, match="overflows"):
+        eval_expr(parse_expr("t + 2^100000"), np.linspace(0.0, 1.0, 3))
 
 
 def test_pi_constant():
     assert eval_expr(parse_expr("pi"), 0.0) == math.pi
+
+
+# The recursive analysis that _nodes and _trig_line replaced, kept as the
+# oracle: depends_on_var, _affine_in_var, _shift_parity and _collect_critical.
+def _old_depends_on_var(e) -> bool:
+    """Whether the free variable occurs anywhere in the expression."""
+    if isinstance(e, Var):
+        return True
+    if isinstance(e, Neg):
+        return _old_depends_on_var(e.operand)
+    if isinstance(e, BinOp):
+        return _old_depends_on_var(e.left) or _old_depends_on_var(e.right)
+    if isinstance(e, Power):
+        return _old_depends_on_var(e.base)
+    if isinstance(e, Trig):
+        return _old_depends_on_var(e.arg)
+    return False
+
+
+def _old_affine_in_var(e):
+    """(slope, intercept) if e is affine in the free variable, else None."""
+    if isinstance(e, Num):
+        return (0.0, e.value)
+    if isinstance(e, Pi):
+        return (0.0, math.pi)
+    if isinstance(e, Var):
+        return (1.0, 0.0)
+    if isinstance(e, Neg):
+        inner = _old_affine_in_var(e.operand)
+        return None if inner is None else (-inner[0], -inner[1])
+    if isinstance(e, BinOp):
+        a = _old_affine_in_var(e.left)
+        b = _old_affine_in_var(e.right)
+        if a is None or b is None:
+            return None
+        if e.op == "+":
+            return (a[0] + b[0], a[1] + b[1])
+        if e.op == "-":
+            return (a[0] - b[0], a[1] - b[1])
+        if e.op == "*":
+            if a[0] == 0.0:
+                return (a[1] * b[0], a[1] * b[1])
+            if b[0] == 0.0:
+                return (a[0] * b[1], a[1] * b[1])
+            return None
+        if b[0] == 0.0 and b[1] != 0.0:
+            return (a[0] / b[1], a[1] / b[1])
+        return None
+    if isinstance(e, Power):
+        base = _old_affine_in_var(e.base)
+        if base is None:
+            return None
+        if e.exponent == 1:
+            return base
+        if base[0] == 0.0:
+            try:
+                return (0.0, base[1] ** e.exponent)
+            except (ZeroDivisionError, OverflowError):
+                return None
+        return None
+    if isinstance(e, Trig):
+        arg = _old_affine_in_var(e.arg)
+        if arg is not None and arg[0] == 0.0:
+            f = math.sin if e.func == "sin" else math.cos
+            return (0.0, f(arg[1]))
+        return None
+    return None
+
+
+def _old_shift_parity(e) -> int | None:
+    """1 or -1 by the rules of is_periodic_in_time, or None if unknown."""
+    if not _old_depends_on_var(e):
+        return 1
+    if isinstance(e, Trig):
+        arg = _old_affine_in_var(e.arg)
+        k = None if arg is None else arg[0] / math.pi
+        # an integer within a few ulps, which float rounding of k*pi needs
+        if k is None or not math.isfinite(k) or abs(k - round(k)) > 4 * math.ulp(k):
+            return None
+        return (-1) ** (round(k) % 2)
+    if isinstance(e, Neg):
+        return _old_shift_parity(e.operand)
+    if isinstance(e, Power):
+        p = _old_shift_parity(e.base)
+        return None if p is None else p ** (e.exponent % 2)
+    if isinstance(e, BinOp):
+        a, b = _old_shift_parity(e.left), _old_shift_parity(e.right)
+        if None in (a, b) or (e.op in "+-" and a != b):
+            return None
+        return a * b if e.op in "*/" else a
+    return None
+
+
+def _old_collect_critical(e, out: set[float]) -> None:
+    if isinstance(e, Trig):
+        arg = _old_affine_in_var(e.arg)
+        if arg is not None and arg[0] != 0.0:
+            slope, intercept = arg
+            # quarter-period points: slope*t + intercept = j*pi/2
+            j_lo = math.floor(2 * intercept / math.pi) - 1
+            j_hi = math.ceil(2 * (slope + intercept) / math.pi) + 1
+            lo, hi = min(j_lo, j_hi), max(j_lo, j_hi)
+            for j in range(lo, hi + 1):
+                t = (j * math.pi / 2 - intercept) / slope
+                if 0.0 <= t < 1.0:
+                    out.add(t)
+        _old_collect_critical(e.arg, out)
+    elif isinstance(e, Neg):
+        _old_collect_critical(e.operand, out)
+    elif isinstance(e, BinOp):
+        _old_collect_critical(e.left, out)
+        _old_collect_critical(e.right, out)
+    elif isinstance(e, Power):
+        _old_collect_critical(e.base, out)
+
+
+def _old_critical_times(e) -> frozenset[float]:
+    found: set[float] = set()
+    _old_collect_critical(e, found)
+    return frozenset(found)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(e=EXPRS)
+def test_analysis_equals_the_recursive_oracle(e):
+    assert depends_on_var(e) is _old_depends_on_var(e)
+    assert is_periodic_in_time(e) is (_old_shift_parity(e) == 1)
+    assert critical_times(e) == _old_critical_times(e)
+
+
+_HUGE = Num(1e300)
+_HUGE_CONSTS = st.sampled_from([Num(0.5), Num(2.0), Num(3.0), Pi(), _HUGE, _HUGE])
+HUGE_EXPRS = st.recursive(
+    st.one_of(_HUGE_CONSTS, st.just(Var("t")),
+              st.builds(_affine_trig, _FUNCS, st.sampled_from([1.0, 2.0]), _HUGE_CONSTS)),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Power, children, st.integers(-3, 3)),
+        st.builds(Trig, _FUNCS, children),
+    ),
+    max_leaves=10,
+).filter(lambda e: _HUGE in _nodes(e))
+
+
+def _parity_unknowable(e) -> bool:
+    """Whether e has a trig whose argument is affine with |slope/pi| >= 2**49."""
+    lines = (_old_affine_in_var(n.arg) for n in _nodes(e) if isinstance(n, Trig))
+    return any(line is not None and abs(line[0] / math.pi) >= 2 ** 49 for line in lines)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(e=HUGE_EXPRS)
+def test_analysis_of_overflowing_constants_never_raises(e):
+    periodic = is_periodic_in_time(e)
+    if periodic:
+        critical_times(e)
+    try:
+        expected = _old_shift_parity(e) == 1
+    except (OverflowError, ValueError):
+        return
+    assert periodic is expected or (expected and _parity_unknowable(e))

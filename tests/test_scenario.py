@@ -135,6 +135,14 @@ def test_bad_piecewise_breaks_rejected(tmp_path):
     assert err.value.pointer == "/initial/1"
 
 
+def test_piecewise_break_of_the_wrong_type_rejected(tmp_path):
+    doc = helpers.base_flow_scenario()
+    doc["initial"]["1"] = {"breaks": [0, [1]], "values": [1]}
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(helpers.write_scenario(tmp_path, doc))
+    assert err.value.pointer == "/initial/1"
+
+
 def test_nonperiodic_weight_needs_flag(tmp_path):
     doc = helpers.base_flow_scenario()
     doc["weights"]["1,1"] = "t"
@@ -202,6 +210,34 @@ def test_non_finite_start_time_rejected(tmp_path, s):
     with pytest.raises(ScenarioError) as err:
         load_scenario(helpers.write_scenario(tmp_path, doc))
     assert err.value.pointer == "/s"
+
+
+@pytest.mark.parametrize("pointer,value", [
+    ("/graph/n", "x"), ("/graph/n", None), ("/graph/n", 2.7), ("/graph/n", 2.0),
+    ("/graph/n", True), ("/graph/n", 0),
+    ("/s", "0"), ("/s", False), pytest.param("/s", 10 ** 400, id="/s-10**400"),
+    ("/N", 64.0), ("/N", True), ("/N", 0), ("/N", [64]),
+    ("/validation_grid", 1), ("/validation_grid", 11.5), ("/validation_grid", None),
+    ("/tolerances/stochastic", "a"), ("/tolerances/stochastic", 0),
+    ("/tolerances/stochastic", -1e-9), ("/tolerances/stochastic", float("nan")),
+    ("/tolerances/stochastic", float("inf")), ("/tolerances/stochastic", True),
+    ("/tolerances/zero", -1e-12), ("/tolerances/zero", "0"), ("/tolerances/zero", float("nan")),
+])
+def test_scalar_fields_rejected_at_their_pointer(tmp_path, pointer, value):
+    doc = helpers.set_at(helpers.base_flow_scenario(), pointer, value)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(helpers.write_scenario(tmp_path, doc))
+    assert err.value.pointer == pointer
+
+
+def test_scalar_fields_accept_integers_for_numbers(tmp_path):
+    doc = helpers.base_flow_scenario()
+    doc.update(s=1, validation_grid=2, tolerances={"stochastic": 1, "zero": 0})
+    sc = load_scenario(helpers.write_scenario(tmp_path, doc))
+    assert (sc.graph.n, sc.resolution, sc.validation_grid) == (2, 64, 2)
+    for value in (sc.start_time, sc.tolerances.stochastic, sc.tolerances.zero):
+        assert type(value) is float
+    assert (sc.start_time, sc.tolerances.stochastic, sc.tolerances.zero) == (1.0, 1.0, 0.0)
 
 
 def test_malformed_json(tmp_path):

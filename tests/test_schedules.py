@@ -69,6 +69,21 @@ def test_assembly_equals_weighted_incidence_product():
             assert np.allclose(M.at(t), product, atol=1e-15)
 
 
+def test_flow_entries_follow_the_in_edge_scan_order():
+    # Entry order fixes the table's columns. Oracle: for each edge k, in edge
+    # order, every edge l whose head is the tail of k, in edge order.
+    rng = random.Random(5)
+    for _ in range(50):
+        g = helpers.random_strong_graph(rng)
+        weights = helpers.random_flow_weights(rng, g)
+        del weights[rng.choice(sorted(weights))]
+        M = assemble_weighted_adjacency(g, weights)
+        expected = [(k, l) for k in range(1, g.m + 1) if (g.tail(k), k) in weights
+                    for l in range(1, g.m + 1) if g.edges[l - 1][1] == g.tail(k)]
+        assert list(M.entries) == expected
+        assert all(type(i) is int for key in M.entries for i in key)
+
+
 def test_weight_on_non_incident_pair_rejected():
     g = helpers.example1_graph()
     with pytest.raises(ScheduleError):

@@ -272,12 +272,25 @@ def test_convergence_rejects_short_horizon():
     (1, float("nan"), 1.0),
     (1, 10.0, float("nan")),
     (1, 10.0, float("inf")),
+    (1, 2.0 ** 53 - 1, 2.0 ** 50),
 ])
 def test_convergence_rejects_degenerate_parameters(tau, horizon, stride):
     M = example1_matrix()
     f = InitialData.constant([1.0] * 6)
     with pytest.raises(HypothesisError):
         convergence_diagnostic(M, f, 0.0, tau, horizon=horizon, N=10, stride=stride)
+
+
+def test_stride_must_advance_the_last_base_time():
+    # at s = 2**50 floats are 0.25 apart: a stride of 0.1 does not move
+    # s + horizon, while one of 0.25, however small next to s, does the work
+    M = example1_matrix()
+    f = InitialData.constant([1.0] * 6)
+    s = 2.0 ** 50
+    with pytest.raises(HypothesisError, match="does not advance"):
+        convergence_diagnostic(M, f, s, 1, horizon=2.0, N=8, stride=0.1)
+    trace = convergence_diagnostic(M, f, s, 1, horizon=2.0, N=8, stride=0.25)
+    assert trace.elapsed == tuple(j / 4 for j in range(9))
 
 
 def test_default_sample_times_include_trig_criticals():
