@@ -42,10 +42,7 @@ from .evolution import (
     EdgeDensityField,
     InitialData,
     boundary_residual,
-    evaluate_evolution,
-    initial_from_evolution,
     l1_norm,
-    oracle_characteristics,
     propagate,
     propagate_many,
 )
@@ -78,10 +75,8 @@ __all__ = [
     "assemble_weighted_adjacency", "assemble_allocation", "embed_junctions",
     "make_junction", "validate_stochastic", "support_pattern",
     "regularity_diagnostic",
-    "InitialData", "EdgeDensityField", "evaluate_evolution", "propagate",
-    "propagate_many",
-    "l1_norm", "boundary_residual", "oracle_characteristics",
-    "initial_from_evolution",
+    "InitialData", "EdgeDensityField", "propagate", "propagate_many",
+    "l1_norm", "boundary_residual",
     "PeriodReport", "ConvergenceTrace", "peripheral_count", "asymptotic_period",
     "strictly_positive_shortcut", "convergence_diagnostic", "default_sample_times",
     "Scenario", "load_scenario", "bundled_scenario_path", "validation_summary",

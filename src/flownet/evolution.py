@@ -14,7 +14,7 @@ a characteristic happens at times congruent mod 1, so all k crossings apply
 the same A and only the vector A^k f is needed: positions above the least k0
 take their one or two extra mat-vecs, then binary powering on the vector
 costs bit_length(k0) - 1 squarings (m^3) and popcount(k0) mat-vecs (m^2) per
-grid point. An independent first-order upwind oracle cross-checks it.
+grid point.
 
 The grid is powered in chunks. The schedule table (one column per distinct
 expression, N x d values) is evaluated once for the whole grid; each chunk of
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -112,16 +112,6 @@ class InitialData:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.stack([p(x) for p in self.profiles])
 
-    @staticmethod
-    def from_expressions(sources: Sequence[str]) -> "InitialData":
-        return InitialData(tuple(ExprProfile(ex.parse_expr(s, var="x")) for s in sources))
-
-    @staticmethod
-    def constant(values: Sequence[float]) -> "InitialData":
-        return InitialData(
-            tuple(PiecewiseProfile((0.0, 1.0), (float(v),)) for v in values)
-        )
-
 
 @dataclass(frozen=True)
 class EdgeDensityField:
@@ -131,10 +121,6 @@ class EdgeDensityField:
     resolution: int
     time: float
     origin: float
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
 
     def grid(self) -> np.ndarray:
         return midpoints(self.resolution)
@@ -218,13 +204,6 @@ def _power_chunk(base: np.ndarray, out: np.ndarray, ks: np.ndarray, k0: int, kma
         if k0:
             base, spare = np.matmul(base, base, out=spare), base
     return out
-
-
-def evaluate_evolution(
-    M: TimeVaryingMatrix, f: InitialData, s: float, t: float, x: float
-) -> np.ndarray:
-    """Density vector u(x, t) of the flow started from f at time s."""
-    return _evolve(M, f, s, t, np.asarray([float(x)]))[:, 0]
 
 
 def propagate(
@@ -315,31 +294,6 @@ def propagate_many(
     return stream()
 
 
-@dataclass(frozen=True)
-class _EvolvedData(InitialData):
-    """The state at time t of the flow from f at s: no per-edge profiles, and
-    evaluate evolves once for all edges."""
-
-    M: TimeVaryingMatrix
-    f: InitialData
-    s: float
-    t: float
-
-    @property
-    def m(self) -> int:
-        return self.f.m
-
-    def evaluate(self, x) -> np.ndarray:
-        return _evolve(self.M, self.f, self.s, self.t, x)
-
-
-def initial_from_evolution(
-    M: TimeVaryingMatrix, f: InitialData, s: float, t: float
-) -> InitialData:
-    """The state at time t, exactly samplable, for restarting the evolution."""
-    return _EvolvedData((), M, f, s, t)
-
-
 def l1_norm(u: EdgeDensityField) -> tuple[np.ndarray, float]:
     """(per-edge masses, total mass) by midpoint quadrature of |values|."""
     masses = np.abs(u.values).sum(axis=1) / u.resolution
@@ -367,48 +321,3 @@ def boundary_residual(
     inner = _evolve(M, f, s, t - 2 * eps, np.asarray([eps]))[:, 0]
     right = M.at(float(np.mod(t, 1.0))) @ inner
     return float(np.max(np.abs(left - right)))
-
-
-def oracle_characteristics(
-    M: TimeVaryingMatrix, f: InitialData, s: float, t: float, N: int, dt: float
-) -> EdgeDensityField:
-    """First-order upwind simulation of the transport system, for cross-checks.
-
-    Maintains point samples on a fine midpoint grid of width dt = 1/(N*q);
-    each step is an exact one-cell shift toward x = 0, and the vacated cell
-    at x = 1 is refilled through the boundary coupling with the matrix taken
-    at the current step time. The shift is exact, so the only error source is
-    that time sampling, O(dt). Requires dt to divide both the cell width 1/N
-    and the horizon t - s.
-    """
-    if t < s:
-        raise EvolutionError(f"query time {t} precedes start time {s}")
-    q = 1.0 / (N * dt)
-    if abs(q - round(q)) > 1e-9 * max(1.0, q):
-        raise EvolutionError(f"dt={dt} must equal 1/(N*q) for an integer q (N={N})")
-    q = int(round(q))
-    steps = (t - s) / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-        raise EvolutionError(f"horizon {t - s} is not an integer number of steps of dt={dt}")
-    steps = int(round(steps))
-
-    fine = N * q
-    buf = f.evaluate(midpoints(fine))
-    if steps:
-        times = np.mod(s + dt * np.arange(steps), 1.0)
-        mats = M.at_times(times)
-        for j in range(steps):
-            idx = j % fine
-            buf[:, idx] = mats[j] @ buf[:, idx]
-        order = (np.arange(fine) + steps) % fine
-        buf = buf[:, order]
-
-    if q == 1:
-        coarse = buf
-    elif q % 2 == 1:
-        coarse = buf[:, (q - 1) // 2 :: q]
-    else:
-        lo = buf[:, q // 2 - 1 :: q]
-        hi = buf[:, q // 2 :: q]
-        coarse = 0.5 * (lo + hi)
-    return EdgeDensityField(values=coarse.copy(), resolution=N, time=float(t), origin=float(s))

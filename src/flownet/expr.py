@@ -66,6 +66,8 @@ class Trig:
 
 
 _NUMBER, _NAME, _OP, _END = "number", "name", "op", "end"
+# Tree walks recurse per level: the parser refuses deeper trees, parentheses included.
+_MAX_DEPTH = 64
 
 
 def _tokenize(source: str):
@@ -111,6 +113,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.var = var
+        self.level = 0  # atoms being parsed, one inside the other
 
     def peek(self):
         return self.tokens[self.pos]
@@ -126,40 +129,44 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", at)
         return self.advance()
 
+    def deeper(self, depth: int, at: int) -> int:
+        """depth + 1; an ExprSyntaxError at offset at past _MAX_DEPTH."""
+        if depth >= _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels", at)
+        return depth + 1
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         kind, text, at = self.peek()
         if kind != _END:
             raise ExprSyntaxError(f"unexpected trailing input {text!r}", at)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == _OP and text in "+-":
-                self.advance()
-                e = BinOp(text, e, self.term())
-            else:
-                return e
+    # expr, term, factor and atom return (tree, depth).
+    def expr(self) -> tuple[Expr, int]:
+        return self.chain("+-", self.term)
 
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == _OP and text in "*/":
-                self.advance()
-                e = BinOp(text, e, self.factor())
-            else:
-                return e
+    def term(self) -> tuple[Expr, int]:
+        return self.chain("*/", self.factor)
 
-    def factor(self) -> Expr:
-        e = self.atom()
-        kind, text, _ = self.peek()
+    def chain(self, ops: str, operand) -> tuple[Expr, int]:
+        """Operands joined by any of ops, as a left-deep tree."""
+        e, depth = operand()
+        while True:
+            kind, text, at = self.peek()
+            if kind != _OP or text not in ops:
+                return e, depth
+            self.advance()
+            right, right_depth = operand()
+            e, depth = BinOp(text, e, right), self.deeper(max(depth, right_depth), at)
+
+    def factor(self) -> tuple[Expr, int]:
+        e, depth = self.atom()
+        kind, text, at = self.peek()
         if kind == _OP and text == "^":
             self.advance()
-            e = Power(e, self.integer())
-        return e
+            e, depth = Power(e, self.integer()), self.deeper(depth, at)
+        return e, depth
 
     def integer(self) -> int:
         sign = 1
@@ -176,27 +183,35 @@ class _Parser:
             raise ExprSyntaxError(f"exponent must be an integer, got {text!r}", at)
         return sign * int(value)
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
+        # the atoms nested in this one recurse first, so they are counted on the way in
+        self.level = self.deeper(self.level, self.peek()[2])
+        e, depth = self.bare_atom()
+        self.level -= 1
+        return e, depth
+
+    def bare_atom(self) -> tuple[Expr, int]:
         kind, text, at = self.advance()
         if kind == _NUMBER:
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == _NAME:
             if text == "pi":
-                return Pi()
+                return Pi(), 1
             if text in ("sin", "cos"):
                 self.expect_op("(")
-                arg = self.expr()
+                arg, depth = self.expr()
                 self.expect_op(")")
-                return Trig(text, arg)
+                return Trig(text, arg), self.deeper(depth, at)
             if text == self.var:
-                return Var(text)
+                return Var(text), 1
             raise ExprSyntaxError(f"unknown name {text!r}", at)
         if kind == _OP and text == "(":
-            e = self.expr()
+            e, depth = self.expr()
             self.expect_op(")")
-            return e
+            return e, self.deeper(depth, at)
         if kind == _OP and text == "-":
-            return Neg(self.atom())
+            e, depth = self.atom()
+            return Neg(e), self.deeper(depth, at)
         raise ExprSyntaxError(
             f"expected expression, got {text!r}" if text else "expected expression, got end of input",
             at,
@@ -368,10 +383,13 @@ def _affine_in_var(e: Expr):
 
 
 def _trig_line(e: Trig) -> tuple[float, float] | None:
-    """(slope, intercept) of a trig's argument, or None unless it is affine in
-    the free variable with both finite."""
+    """(slope, intercept) of a trig's argument, or None unless it is affine in the free
+    variable with both finite and, for a slope other than 0, |intercept| < 2**49 * pi,
+    past which a float resolves the argument no finer than a quarter radian."""
     line = _affine_in_var(e.arg)
-    return line if line is not None and all(map(math.isfinite, line)) else None
+    if line is None or not all(map(math.isfinite, line)):
+        return None
+    return line if line[0] == 0.0 or abs(line[1]) < 2 ** 49 * math.pi else None
 
 
 def is_periodic_in_time(e: Expr) -> bool:
@@ -413,6 +431,9 @@ def _shift_parity(e: Expr) -> int | None:
     return None
 
 
+_MAX_QUARTER_POINTS = 4096  # per sin/cos; each is a support-survey sample time
+
+
 def critical_times(e: Expr) -> frozenset[float]:
     """Times in [0, 1) where some trig subterm crosses a zero or an extremum.
 
@@ -429,6 +450,9 @@ def critical_times(e: Expr) -> frozenset[float]:
             j_lo = math.floor(2 * intercept / math.pi) - 1
             j_hi = math.ceil(2 * (slope + intercept) / math.pi) + 1
             lo, hi = min(j_lo, j_hi), max(j_lo, j_hi)
+            if abs(slope) > _MAX_QUARTER_POINTS * math.pi / 2:  # 2|slope|/pi points
+                raise ExprEvalError(f"{to_source(e)!r} has a sin/cos with more than "
+                                    f"{_MAX_QUARTER_POINTS} quarter-period points in one period")
             for j in range(lo, hi + 1):
                 t = (j * math.pi / 2 - intercept) / slope
                 if 0.0 <= t < 1.0:

@@ -28,10 +28,6 @@ class NetworkGraph:
     def tail(self, j: int) -> int:
         return self.edges[j - 1][0]
 
-    def out_edges(self, i: int) -> tuple[int, ...]:
-        """Edges whose tail is vertex i, in edge order."""
-        return tuple(j for j in range(1, self.m + 1) if self.edges[j - 1][0] == i)
-
 
 def build_graph(edge_list, n: int) -> NetworkGraph:
     """Build a NetworkGraph from 1-based (tail, head) pairs.

@@ -38,7 +38,7 @@ from .errors import (
     ScenarioError,
     ScheduleError,
 )
-from .evolution import ExprProfile, InitialData, PiecewiseProfile
+from .evolution import ExprProfile, InitialData, PiecewiseProfile, midpoints
 from .graph import NetworkGraph, build_graph, line_graph_adjacency
 from .schedules import (
     TimeVaryingMatrix,
@@ -53,6 +53,7 @@ from .spectral import _survey_support, default_sample_times
 
 BUNDLED = ("example1", "example2", "junction")
 
+_MAX_POINTS = 10 ** 6  # the largest N and validation_grid
 _TOP_KEYS = {"graph", "mode", "weights", "junctions", "initial", "s", "N",
              "validation_grid", "tolerances"}
 
@@ -88,9 +89,9 @@ def _require(condition: bool, message: str, pointer: str) -> None:
 
 
 def _scalar(doc: dict, key: str, pointer: str, default, integer: bool = False,
-            low: float = -math.inf, strict: bool = False):
-    """doc[key], or default if absent: a JSON integer, or a finite number read
-    as a float, at least low (above low if strict). Else a ScenarioError at pointer."""
+            low: float = -math.inf, strict: bool = False, high: float = math.inf):
+    """doc[key], or default if absent: a JSON integer, or a finite number read as
+    a float, at least low (above low if strict), at most high. Else a ScenarioError at pointer."""
     value = doc.get(key, default)
     ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
     if ok and not integer:
@@ -99,8 +100,9 @@ def _scalar(doc: dict, key: str, pointer: str, default, integer: bool = False,
         except OverflowError:  # an integer literal beyond the float range
             ok = False
         ok = ok and math.isfinite(value)
-    ok = ok and (value > low if strict else value >= low)
+    ok = ok and (value > low if strict else value >= low) and value <= high
     bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low}"
+    bound += "" if high == math.inf else f" and <= {high}"
     _require(ok, f"{key!r} must be {'an integer' if integer else 'a finite number'}{bound}", pointer)
     return value
 
@@ -153,7 +155,7 @@ def scenario_from_dict(doc) -> Scenario:
             "each edge must be a [tail, head] pair of integers",
             f"/graph/edges/{idx}",
         )
-    n = _scalar(graph_doc, "n", "/graph/n", None, integer=True, low=1)
+    n = _scalar(graph_doc, "n", "/graph/n", None, integer=True, low=1, high=2 * len(edges))
     try:
         g = build_graph([tuple(pair) for pair in edges], n)
     except GraphError as err:
@@ -191,8 +193,9 @@ def scenario_from_dict(doc) -> Scenario:
         matrix=matrix,
         initial=initial,
         start_time=_scalar(doc, "s", "/s", 0.0),
-        resolution=_scalar(doc, "N", "/N", 400, integer=True, low=1),
-        validation_grid=_scalar(doc, "validation_grid", "/validation_grid", 1001, integer=True, low=2),
+        resolution=_scalar(doc, "N", "/N", 400, integer=True, low=1, high=_MAX_POINTS),
+        validation_grid=_scalar(doc, "validation_grid", "/validation_grid", 1001,
+                                integer=True, low=2, high=_MAX_POINTS),
         tolerances=tolerances,
     )
 
@@ -288,8 +291,7 @@ def validation_summary(sc: Scenario) -> dict:
     sample_times = default_sample_times(sc.matrix)
     survey = _survey_support(sc.matrix, sample_times, sc.tolerances.zero)
 
-    xs = (np.arange(sc.resolution) + 0.5) / sc.resolution
-    min_density = float(sc.initial.evaluate(xs).min())
+    min_density = float(sc.initial.evaluate(midpoints(sc.resolution)).min())
 
     summary = {
         "stochastic": report.to_json(),

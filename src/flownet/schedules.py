@@ -39,8 +39,8 @@ def _as_expr(value: ExprLike) -> ex.Expr:
 
 
 def _not_periodic(where: str, e: ex.Expr) -> ScheduleError:
-    return ScheduleError(f"{where}: {ex.to_source(e)!r} is not 1-periodic in t (t only in "
-                         "sin/cos(k*pi*t + c), the terms of a sum all even or all odd)")
+    return ScheduleError(f"{where}: {ex.to_source(e)!r} is not 1-periodic in t (t only in sin/cos"
+                         "(k*pi*t + c), |k| and |c|/pi < 2**49; a sum's terms all even or all odd)")
 
 
 @dataclass(frozen=True)

@@ -30,20 +30,21 @@ from .graph import cyclic_index, is_strongly_connected
 from .schedules import TimeVaryingMatrix, support_pattern
 
 
-def peripheral_count(A: np.ndarray, eps: float = 1e-6) -> int:
-    """Eigenvalues with modulus at least 1 - eps, counted with multiplicity.
+_PERIPHERAL_EPS = 1e-6
+
+
+def peripheral_count(A: np.ndarray) -> int:
+    """Eigenvalues of modulus at least 1 - _PERIPHERAL_EPS, with multiplicity.
 
     Requires a column-stochastic matrix (unit spectral radius); for an
     irreducible one these are exactly the h-th roots of unity.
     """
     A = np.asarray(A, dtype=float)
-    if not 0.0 < eps < 0.5:
-        raise SpectralError("eps must lie in (0, 1/2)")
     col_dev = np.abs(A.sum(axis=0) - 1.0).max()
     if col_dev > 1e-9:
         raise SpectralError(f"matrix is not column-stochastic (column sum off by {col_dev:.3e})")
     eigenvalues = np.linalg.eigvals(A)
-    return int(np.sum(np.abs(eigenvalues) >= 1.0 - eps))
+    return int(np.sum(np.abs(eigenvalues) >= 1.0 - _PERIPHERAL_EPS))
 
 
 def pattern_hash(pattern: np.ndarray) -> str:
@@ -78,7 +79,6 @@ class PeriodReport:
     samples: tuple[PeriodSample, ...]
     tau: int
     distinct_patterns: dict[str, np.ndarray]
-    reducible_times: tuple[float, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -87,7 +87,7 @@ class PeriodReport:
             "distinct_patterns": {
                 h: p.tolist() for h, p in sorted(self.distinct_patterns.items())
             },
-            "reducible_times": list(self.reducible_times),
+            "reducible_times": [],  # asymptotic_period raises on any
         }
 
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
 
-from flownet import build_graph
+from flownet import EvolutionError, InitialData, TimeVaryingMatrix, build_graph, parse_expr
+from flownet.evolution import EdgeDensityField, ExprProfile, PiecewiseProfile, _evolve, midpoints
 
 EXAMPLE1_EDGES = [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 3)]
 EXAMPLE1_WEIGHTS = {
@@ -57,6 +59,11 @@ def two_cycle_graph():
 def cycle_graph(length: int):
     edges = [(i, i % length + 1) for i in range(1, length + 1)]
     return build_graph(edges, length)
+
+
+def out_edges(g, i: int) -> list[int]:
+    """Edges whose tail is vertex i, in edge order."""
+    return [j for j in range(1, g.m + 1) if g.tail(j) == i]
 
 
 def example1_matrix_value(t: float) -> np.ndarray:
@@ -130,7 +137,7 @@ def random_flow_weights(rng: random.Random, g) -> dict[tuple[int, int], str]:
     """Strictly positive column-stochastic vertex weights with a trig wobble."""
     weights: dict[tuple[int, int], str] = {}
     for i in range(1, g.n + 1):
-        out = g.out_edges(i)
+        out = out_edges(g, i)
         if not out:
             continue
         if len(out) == 1:
@@ -185,6 +192,86 @@ def random_piecewise_initial(rng: random.Random, m: int, cells: int) -> dict:
         values = [round(rng.uniform(0.0, 3.0), 6) for _ in range(len(breaks) - 1)]
         initial[str(j)] = {"breaks": breaks, "values": values}
     return initial
+
+
+def expression_initial(sources) -> InitialData:
+    """One profile per edge, each an expression in x."""
+    return InitialData(tuple(ExprProfile(parse_expr(s, var="x")) for s in sources))
+
+
+def constant_initial(values) -> InitialData:
+    """One constant profile per edge."""
+    return InitialData(tuple(PiecewiseProfile((0.0, 1.0), (float(v),)) for v in values))
+
+
+@dataclass(frozen=True)
+class _EvolvedData(InitialData):
+    """The state at time t of the flow from f at s: no per-edge profiles, and
+    evaluate evolves once for all edges."""
+
+    M: TimeVaryingMatrix
+    f: InitialData
+    s: float
+    t: float
+
+    @property
+    def m(self) -> int:
+        return self.f.m
+
+    def evaluate(self, x) -> np.ndarray:
+        return _evolve(self.M, self.f, self.s, self.t, x)
+
+
+def initial_from_evolution(
+    M: TimeVaryingMatrix, f: InitialData, s: float, t: float
+) -> InitialData:
+    """The state at time t, exactly samplable, for restarting the evolution."""
+    return _EvolvedData((), M, f, s, t)
+
+
+def oracle_characteristics(
+    M: TimeVaryingMatrix, f: InitialData, s: float, t: float, N: int, dt: float
+) -> EdgeDensityField:
+    """First-order upwind simulation of the transport system, for cross-checks.
+
+    Maintains point samples on a fine midpoint grid of width dt = 1/(N*q);
+    each step is an exact one-cell shift toward x = 0, and the vacated cell
+    at x = 1 is refilled through the boundary coupling with the matrix taken
+    at the current step time. The shift is exact, so the only error source is
+    that time sampling, O(dt). Requires dt to divide both the cell width 1/N
+    and the horizon t - s.
+    """
+    if t < s:
+        raise EvolutionError(f"query time {t} precedes start time {s}")
+    q = 1.0 / (N * dt)
+    if abs(q - round(q)) > 1e-9 * max(1.0, q):
+        raise EvolutionError(f"dt={dt} must equal 1/(N*q) for an integer q (N={N})")
+    q = int(round(q))
+    steps = (t - s) / dt
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        raise EvolutionError(f"horizon {t - s} is not an integer number of steps of dt={dt}")
+    steps = int(round(steps))
+
+    fine = N * q
+    buf = f.evaluate(midpoints(fine))
+    if steps:
+        times = np.mod(s + dt * np.arange(steps), 1.0)
+        mats = M.at_times(times)
+        for j in range(steps):
+            idx = j % fine
+            buf[:, idx] = mats[j] @ buf[:, idx]
+        order = (np.arange(fine) + steps) % fine
+        buf = buf[:, order]
+
+    if q == 1:
+        coarse = buf
+    elif q % 2 == 1:
+        coarse = buf[:, (q - 1) // 2 :: q]
+    else:
+        lo = buf[:, q // 2 - 1 :: q]
+        hi = buf[:, q // 2 :: q]
+        coarse = 0.5 * (lo + hi)
+    return EdgeDensityField(values=coarse.copy(), resolution=N, time=float(t), origin=float(s))
 
 
 def random_imprimitive_stochastic(rng: random.Random, m: int):

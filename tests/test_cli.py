@@ -351,8 +351,16 @@ _BIG = "1" + "0" * 300
     ("/weights/1,1", "2^100000", "overflows"),
     ("/weights/1,1", f"sin(2*pi*t + {_BIG}*{_BIG})", "1-periodic"),
     ("/weights/1,1", "cos(t/sin(pi))^2*0 + 1", "1-periodic"),
+    ("/weights/1,1", "(" * 400 + "1" + ")" * 400, "deeper than 64 levels"),
+    ("/weights/1,1", "1" + "+0" * 5000, "deeper than 64 levels"),
+    ("/weights/1,1", "-" * 2000 + "1", "deeper than 64 levels"),
+    ("/weights/1,1", f"cos(2*pi*t + 1{'0' * 308})^2*0 + 1", "1-periodic"),
+    ("/weights/1,1", "cos(1000000000*pi*t)^2*0 + 1", "quarter-period points"),
+    ("/graph/n", 10 ** 400, "/graph/n"),
 ], ids=["n-string", "n-null", "n-fraction", "stochastic-string", "breaks-list", "weight-superscript",
-        "weight-power-overflow", "weight-infinite-intercept", "weight-slope-past-2**49"])
+        "weight-power-overflow", "weight-infinite-intercept", "weight-slope-past-2**49",
+        "weight-400-parentheses", "weight-5000-term-sum", "weight-2000-minus-signs",
+        "weight-huge-intercept", "weight-huge-slope", "n-huge"])
 def test_malformed_scenario_fails_in_one_line(tmp_path, pointer, value, needle):
     doc = helpers.set_at(helpers.base_flow_scenario(), pointer, value)
     helpers.write_scenario(tmp_path, doc)

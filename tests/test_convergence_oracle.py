@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from flownet import InitialData, assemble_weighted_adjacency, convergence_diagnostic, propagate
+from flownet import assemble_weighted_adjacency, convergence_diagnostic, propagate
 
 
 def all_states_diagnostic(M, f, s, tau, horizon, N, stride):
@@ -28,7 +28,7 @@ def all_states_diagnostic(M, f, s, tau, horizon, N, stride):
 @pytest.mark.parametrize("tau,stride", [(1, 1), (2, 1), (3, 1), (1, 10), (2, 5), (1, 0.5)])
 def test_convergence_matches_all_states_oracle(tau, stride):
     M = assemble_weighted_adjacency(helpers.example2_graph(), helpers.EXAMPLE2_WEIGHTS)
-    f = InitialData.from_expressions([f"0.5 + 0.25*sin(pi*x) + 0.1*{j}" for j in range(10)])
+    f = helpers.expression_initial([f"0.5 + 0.25*sin(pi*x) + 0.1*{j}" for j in range(10)])
     s = 0.3
     trace = convergence_diagnostic(M, f, s, tau, horizon=40.0, N=120, stride=stride)
     elapsed, deviation = all_states_diagnostic(M, f, s, tau, 40.0, 120, stride)
@@ -39,7 +39,7 @@ def test_convergence_matches_all_states_oracle(tau, stride):
 
 def test_convergence_memory_stays_bounded():
     sc_matrix = assemble_weighted_adjacency(helpers.example1_graph(), helpers.EXAMPLE1_WEIGHTS)
-    f = InitialData.constant([1.0] * 6)
+    f = helpers.constant_initial([1.0] * 6)
     N, m = 2000, 6
     # A short run first, so one-time allocations (lazy imports, numpy's
     # internal caches) are not charged to the traced run.

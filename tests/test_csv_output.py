@@ -13,7 +13,7 @@ def csv_writer_field(field: EdgeDensityField, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["edge", "x", "value", "t", "s"])
-        for j in range(field.m):
+        for j in range(len(field.values)):
             for r in range(field.resolution):
                 writer.writerow(
                     [j + 1, repr(float(xs[r])), repr(float(field.values[j, r])),

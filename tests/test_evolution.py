@@ -12,10 +12,7 @@ from flownet import (
     assemble_weighted_adjacency,
     boundary_residual,
     build_graph,
-    evaluate_evolution,
-    initial_from_evolution,
     l1_norm,
-    oracle_characteristics,
     propagate,
     propagate_many,
 )
@@ -25,12 +22,12 @@ from flownet.evolution import PiecewiseProfile, _evolve, midpoints
 
 def example1_setup():
     M = assemble_weighted_adjacency(helpers.example1_graph(), helpers.EXAMPLE1_WEIGHTS)
-    f = InitialData.constant([1.0] * 6)
+    f = helpers.constant_initial([1.0] * 6)
     return M, f
 
 
 def smooth_initial(m):
-    return InitialData.from_expressions(
+    return helpers.expression_initial(
         [f"0.5 + 0.25*sin(pi*x) + 0.1*{j}" for j in range(m)]
     )
 
@@ -50,16 +47,16 @@ def test_identity_at_start_time_is_exact():
 def test_pure_shift_before_first_crossing():
     M, _ = example1_setup()
     f = smooth_initial(6)
-    got = evaluate_evolution(M, f, 0.0, 0.3, 0.2)
+    got = _evolve(M, f, 0.0, 0.3, [0.2])[:, 0]
     expected = f.evaluate(np.asarray([0.5]))[:, 0]
     assert np.allclose(got, expected, atol=1e-15)
 
 
 def test_cycle_returns_after_full_loop():
     M = three_cycle_matrix()
-    f = InitialData.from_expressions(["sin(pi*x)^2", "0", "0"])
+    f = helpers.expression_initial(["sin(pi*x)^2", "0", "0"])
     for x in (0.1, 0.5, 0.9):
-        got = evaluate_evolution(M, f, 0.0, 3.0, x)
+        got = _evolve(M, f, 0.0, 3.0, [x])[:, 0]
         expected = f.evaluate(np.asarray([x]))[:, 0]
         assert np.allclose(got, expected, atol=1e-15)
 
@@ -67,7 +64,7 @@ def test_cycle_returns_after_full_loop():
 def test_two_cycle_swaps_edges_after_unit_time():
     g = helpers.two_cycle_graph()
     M = assemble_weighted_adjacency(g, {(1, 1): "1", (2, 2): "1"})
-    f = InitialData.constant([1.0, 0.0])
+    f = helpers.constant_initial([1.0, 0.0])
     field = propagate(M, f, 0.0, 1.0, 100)
     assert np.allclose(field.values[0], 0.0, atol=1e-15)
     assert np.allclose(field.values[1], 1.0, atol=1e-15)
@@ -76,9 +73,9 @@ def test_two_cycle_swaps_edges_after_unit_time():
 def test_preconditions():
     M, f = example1_setup()
     with pytest.raises(EvolutionError):
-        evaluate_evolution(M, f, 1.0, 0.5, 0.1)
+        _evolve(M, f, 1.0, 0.5, [0.1])
     with pytest.raises(EvolutionError):
-        evaluate_evolution(M, f, 0.0, 1.0, 1.5)
+        _evolve(M, f, 0.0, 1.0, [1.5])
     with pytest.raises(EvolutionError):
         propagate(M, f, 0.0, 1.0, 0)
 
@@ -90,7 +87,7 @@ def test_preconditions():
 def test_non_finite_and_unresolvable_times_are_rejected(s, t):
     M, f = example1_setup()
     with pytest.raises(EvolutionError):
-        evaluate_evolution(M, f, s, t, 0.5)
+        _evolve(M, f, s, t, [0.5])
     with pytest.raises(EvolutionError):
         propagate(M, f, s, t, 10)
     with pytest.raises(EvolutionError):
@@ -100,7 +97,7 @@ def test_non_finite_and_unresolvable_times_are_rejected(s, t):
 def test_last_resolvable_span_is_evaluated():
     M, f = example1_setup()
     t = 2.0 ** 53 - 2.0
-    assert np.isfinite(evaluate_evolution(M, f, 0.0, t, 0.5)).all()
+    assert np.isfinite(_evolve(M, f, 0.0, t, [0.5])[:, 0]).all()
 
 
 def test_l1_norm_constants_exact():
@@ -113,7 +110,7 @@ def test_l1_norm_constants_exact():
 
 
 def test_l1_norm_affine_midpoint_exactness():
-    f = InitialData.from_expressions(["2*x", "0"])
+    f = helpers.expression_initial(["2*x", "0"])
     field_values = f.evaluate(midpoints(1000))
     from flownet.evolution import EdgeDensityField
 
@@ -145,8 +142,8 @@ def test_boundary_law_holds_exactly_on_the_formula():
         PiecewiseProfile((0.0, 0.4, 1.0), (float(j), 2.0 - 0.2 * j)) for j in range(6)
     ))
     for t in (0.3, 1.7, 2.45, 6.9):
-        left = evaluate_evolution(M, f, 0.0, t, 1.0)
-        right = M.at(t % 1.0) @ evaluate_evolution(M, f, 0.0, t, 0.0)
+        left = _evolve(M, f, 0.0, t, [1.0])[:, 0]
+        right = M.at(t % 1.0) @ _evolve(M, f, 0.0, t, [0.0])[:, 0]
         assert np.abs(left - right).max() <= 1e-13
 
 
@@ -195,7 +192,7 @@ def test_random_allocation_mode_conserves_mass():
             else:
                 entries[(followers[0], l)] = "1"
         M = assemble_allocation(adj, entries)
-        f = InitialData.constant([rng.uniform(0.0, 2.0) for _ in range(g.m)])
+        f = helpers.constant_initial([rng.uniform(0.0, 2.0) for _ in range(g.m)])
         total0 = l1_norm(propagate(M, f, 0.0, 0.0, 128))[1]
         field = propagate(M, f, 0.0, 10.0, 128)
         assert abs(l1_norm(field)[1] - total0) <= 1e-9
@@ -212,14 +209,14 @@ def test_long_horizon_powers_stay_bounded():
 
 def test_positivity_preserved():
     M, _ = example1_setup()
-    f = InitialData.from_expressions(["0.5 + 0.5*sin(pi*x)"] * 6)
+    f = helpers.expression_initial(["0.5 + 0.5*sin(pi*x)"] * 6)
     field = propagate(M, f, 0.0, 4.6, 300)
     assert field.values.min() >= 0.0
 
 
 def test_signed_data_contracts():
     M, _ = example1_setup()
-    f = InitialData.from_expressions(["x - 0.3", "0.2 - x", "0.5", "-0.1", "x^2 - 0.5", "0"])
+    f = helpers.expression_initial(["x - 0.3", "0.2 - x", "0.5", "-0.1", "x^2 - 0.5", "0"])
     totals = [l1_norm(propagate(M, f, 0.0, t, 400))[1] for t in (0.0, 1.1, 2.7, 5.0, 9.3)]
     for earlier, later in zip(totals, totals[1:]):
         assert later <= earlier + 1e-12
@@ -262,21 +259,21 @@ def test_oracle_matches_formula_for_constant_schedule():
     f = smooth_initial(3)
     N = 50
     exact = propagate(M, f, 0.0, 1.0, N)
-    simulated = oracle_characteristics(M, f, 0.0, 1.0, N, 1.0 / N)
+    simulated = helpers.oracle_characteristics(M, f, 0.0, 1.0, N, 1.0 / N)
     assert np.allclose(exact.values, simulated.values, atol=1e-15)
 
 
 def test_oracle_zero_data_stays_zero():
     M, _ = example1_setup()
-    f = InitialData.constant([0.0] * 6)
-    field = oracle_characteristics(M, f, 0.0, 2.0, 100, 1 / 500)
+    f = helpers.constant_initial([0.0] * 6)
+    field = helpers.oracle_characteristics(M, f, 0.0, 2.0, 100, 1 / 500)
     assert np.array_equal(field.values, np.zeros((6, 100)))
 
 
 def test_oracle_first_order_agreement_example1():
     M, f = example1_setup()
     exact = propagate(M, f, 0.0, 3.7, 500)
-    simulated = oracle_characteristics(M, f, 0.0, 3.7, 500, 1 / 5000)
+    simulated = helpers.oracle_characteristics(M, f, 0.0, 3.7, 500, 1 / 5000)
     deviation = np.abs(exact.values - simulated.values).max()
     assert deviation <= 1e-3
 
@@ -284,9 +281,9 @@ def test_oracle_first_order_agreement_example1():
 def test_oracle_rejects_misaligned_dt():
     M, f = example1_setup()
     with pytest.raises(EvolutionError):
-        oracle_characteristics(M, f, 0.0, 1.0, 400, 1 / 1000)  # dt > cell width ratio not integer
+        helpers.oracle_characteristics(M, f, 0.0, 1.0, 400, 1 / 1000)  # dt > cell width ratio not integer
     with pytest.raises(EvolutionError):
-        oracle_characteristics(M, f, 0.0, 0.3333, 100, 1 / 200)  # horizon off the step grid
+        helpers.oracle_characteristics(M, f, 0.0, 0.3333, 100, 1 / 200)  # horizon off the step grid
 
 
 def test_cocycle_property_exact():
@@ -303,7 +300,7 @@ def test_cocycle_property_exact():
             t1 = s + rng.uniform(0.0, 3.0)
             t2 = t1 + rng.uniform(0.0, 3.0)
             direct = propagate(M, f, s, t2, 100)
-            restart = initial_from_evolution(M, f, s, t1)
+            restart = helpers.initial_from_evolution(M, f, s, t1)
             composed = propagate(M, restart, t1, t2, 100)
             assert np.abs(direct.values - composed.values).max() <= 1e-12, name
 
@@ -451,18 +448,6 @@ def test_start_time_state_needs_no_schedule(monkeypatch):
     monkeypatch.setattr(type(M), "table", no_schedule)
     xs = midpoints(257)
     assert np.array_equal(_evolve(M, f, 0.0, 0.0, xs), f.evaluate(xs))
-
-
-def test_initial_from_evolution_evolves_once_per_evaluate(monkeypatch):
-    M, _ = example1_setup()
-    f = smooth_initial(6)
-    restart = initial_from_evolution(M, f, 0.2, 3.7)
-    xs = midpoints(40)
-    expected = _evolve(M, f, 0.2, 3.7, xs)
-    calls = []
-    monkeypatch.setattr(evolution, "_evolve", lambda *a: calls.append(a) or _evolve(*a))
-    assert np.array_equal(restart.evaluate(xs), expected)
-    assert len(calls) == 1
 
 
 def test_field_csv_round_trip(tmp_path):

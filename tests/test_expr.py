@@ -53,6 +53,18 @@ def test_malformed_inputs_report_position(source, offset):
     assert err.value.position == offset
 
 
+@pytest.mark.parametrize("nest", [
+    lambda depth: "(" * (depth - 1) + "1" + ")" * (depth - 1),
+    lambda depth: "1" + "+1" * (depth - 1),
+    lambda depth: "-" * (depth - 1) + "1",
+    lambda depth: "sin(" * (depth - 1) + "1" + ")" * (depth - 1),
+], ids=["parentheses", "chain", "unary-minus", "trig"])
+def test_trees_deeper_than_64_levels_are_refused(nest):
+    assert to_source(parse_expr(nest(64)))
+    with pytest.raises(ExprSyntaxError, match="deeper than 64 levels"):
+        parse_expr(nest(65))
+
+
 @pytest.mark.parametrize("source", helpers.ROUND_TRIP_CASES)
 def test_printer_round_trip(source):
     ast = parse_expr(source)
@@ -144,6 +156,11 @@ def test_unary_minus_binds_before_power_per_grammar():
         # an intercept that overflows: sin(2*pi*t + inf) is nan for every t
         ("sin(2*pi*t + 10^300*10^300)", False),
         ("cos(pi*t)^2*cos(sin(10^300*10^300))", True),
+        # a varying argument's intercept must lie below 2**49*pi; a constant's need not
+        ("cos(2*pi*t + 10^308)^2*0 + 1", False),
+        ("sin(2*pi*t + 1768000000000000)", True),
+        ("sin(2*pi*t + 1769000000000000)", False),
+        ("cos(2*pi*t + cos(10^20))^2", True),
     ],
 )
 def test_periodicity_checker(source, expected):
@@ -230,6 +247,12 @@ def test_critical_times_quarter_points():
     # trig arguments with a non-finite slope or intercept have no quarter points
     assert critical_times(parse_expr("cos(pi*t)^2*cos(sin(10^300*10^300))")) == {0.0, 0.5}
     assert critical_times(parse_expr("sin(2*pi*t + 10^300*10^300)")) == frozenset()
+
+
+def test_quarter_points_are_capped():
+    assert len(critical_times(parse_expr("cos(2048*pi*t)"))) == 4096
+    with pytest.raises(ExprEvalError, match="more than 4096 quarter-period points"):
+        critical_times(parse_expr("cos(2049*pi*t)"))
 
 
 def test_constant_power_overflow_is_an_eval_error():
@@ -386,10 +409,13 @@ HUGE_EXPRS = st.recursive(
 ).filter(lambda e: _HUGE in _nodes(e))
 
 
-def _parity_unknowable(e) -> bool:
-    """Whether e has a trig whose argument is affine with |slope/pi| >= 2**49."""
+def _line_refused(e) -> bool:
+    """Whether e has a trig whose argument is affine with |slope/pi| >= 2**49,
+    or with a slope other than 0 and |intercept| >= 2**49 * pi."""
     lines = (_old_affine_in_var(n.arg) for n in _nodes(e) if isinstance(n, Trig))
-    return any(line is not None and abs(line[0] / math.pi) >= 2 ** 49 for line in lines)
+    return any(line is not None and (abs(line[0] / math.pi) >= 2 ** 49
+                                     or line[0] != 0.0 and abs(line[1]) >= 2 ** 49 * math.pi)
+               for line in lines)
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
@@ -402,4 +428,4 @@ def test_analysis_of_overflowing_constants_never_raises(e):
         expected = _old_shift_parity(e) == 1
     except (OverflowError, ValueError):
         return
-    assert periodic is expected or (expected and _parity_unknowable(e))
+    assert periodic is expected or (expected and _line_refused(e))

@@ -58,7 +58,7 @@ def test_propagate_many_agrees_with_propagate(seed, s, first, steps):
 
 def test_propagate_many_uses_one_closed_form_per_chain(monkeypatch):
     M = assemble_weighted_adjacency(helpers.example1_graph(), helpers.EXAMPLE1_WEIGHTS)
-    f = InitialData.constant([1.0] * 6)
+    f = helpers.constant_initial([1.0] * 6)
     heads = []
     closed_form = evolution.propagate
     monkeypatch.setattr(evolution, "propagate", lambda *a: heads.append(a[3]) or closed_form(*a))
@@ -81,7 +81,7 @@ def test_propagate_many_uses_one_closed_form_per_chain(monkeypatch):
 
 def test_propagate_many_fields_own_their_values():
     M = assemble_weighted_adjacency(helpers.example1_graph(), helpers.EXAMPLE1_WEIGHTS)
-    f = InitialData.from_expressions([f"0.5 + 0.1*{j}*x" for j in range(6)])
+    f = helpers.expression_initial([f"0.5 + 0.1*{j}*x" for j in range(6)])
     times = [0.0, 0.0, 1.0, 2.0, 2.0, 3.0]
     expected = [propagate(M, f, 0.0, t, 50).values for t in times]
     for field, want in zip(propagate_many(M, f, 0.0, times, 50), expected):
@@ -91,7 +91,7 @@ def test_propagate_many_fields_own_their_values():
 
 def test_propagate_many_preconditions():
     M = assemble_weighted_adjacency(helpers.example1_graph(), helpers.EXAMPLE1_WEIGHTS)
-    f = InitialData.constant([1.0] * 6)
+    f = helpers.constant_initial([1.0] * 6)
     with pytest.raises(EvolutionError):
         propagate_many(M, f, 0.0, [1.0, 2.0, 1.5], 10)
     with pytest.raises(EvolutionError):
@@ -99,13 +99,13 @@ def test_propagate_many_preconditions():
     with pytest.raises(EvolutionError):
         propagate_many(M, f, 0.0, [1.0], 0)
     with pytest.raises(EvolutionError):
-        list(propagate_many(M, InitialData.constant([1.0] * 5), 0.0, [1.0], 10))
+        list(propagate_many(M, helpers.constant_initial([1.0] * 5), 0.0, [1.0], 10))
     assert list(propagate_many(M, f, 0.0, [], 10)) == []
 
 
 def test_chains_need_equal_data_points_not_only_equal_phases():
     M = assemble_weighted_adjacency(helpers.example1_graph(), helpers.EXAMPLE1_WEIGHTS)
-    f = InitialData.from_expressions(["sin(10000*x)"] * 6)
+    f = helpers.expression_initial(["sin(10000*x)"] * 6)
     s, N = 0.3, 48
     times = [s + 32.0, s + 33.0]
     # The grid phases of these two times agree bitwise, but their data points

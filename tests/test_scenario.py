@@ -222,6 +222,7 @@ def test_non_finite_start_time_rejected(tmp_path, s):
     ("/tolerances/stochastic", -1e-9), ("/tolerances/stochastic", float("nan")),
     ("/tolerances/stochastic", float("inf")), ("/tolerances/stochastic", True),
     ("/tolerances/zero", -1e-12), ("/tolerances/zero", "0"), ("/tolerances/zero", float("nan")),
+    ("/graph/n", 5), ("/N", 10 ** 6 + 1), ("/validation_grid", 10 ** 6 + 1),
 ])
 def test_scalar_fields_rejected_at_their_pointer(tmp_path, pointer, value):
     doc = helpers.set_at(helpers.base_flow_scenario(), pointer, value)
@@ -238,6 +239,14 @@ def test_scalar_fields_accept_integers_for_numbers(tmp_path):
     for value in (sc.start_time, sc.tolerances.stochastic, sc.tolerances.zero):
         assert type(value) is float
     assert (sc.start_time, sc.tolerances.stochastic, sc.tolerances.zero) == (1.0, 1.0, 0.0)
+
+
+def test_integer_fields_accept_their_upper_bounds(tmp_path):
+    # n is bounded by twice the edge count (two here), N and validation_grid by 10**6
+    doc = helpers.base_flow_scenario()
+    doc.update(graph={"n": 4, "edges": [[1, 2], [2, 1]]}, N=10 ** 6, validation_grid=10 ** 6)
+    sc = load_scenario(helpers.write_scenario(tmp_path, doc))
+    assert (sc.graph.n, sc.resolution, sc.validation_grid) == (4, 10 ** 6, 10 ** 6)
 
 
 def test_malformed_json(tmp_path):

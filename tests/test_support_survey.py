@@ -139,7 +139,7 @@ def _switching_flow_weights(rng, g):
     on and off as c*cos(f*pi*t)^2 and c*sin(f*pi*t)^2, so patterns change."""
     weights = {}
     for i in range(1, g.n + 1):
-        out = g.out_edges(i)
+        out = helpers.out_edges(g, i)
         raw = [rng.uniform(0.2, 1.0) for _ in out]
         consts = [r / sum(raw) for r in raw]
         for j, c in zip(out, consts):
