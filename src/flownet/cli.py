@@ -14,7 +14,7 @@ import sys
 
 from .errors import FlownetError, HypothesisError, SpectralError
 from .evolution import l1_norm, propagate
-from .scenario import Scenario, load_scenario, validation_summary
+from .scenario import _MAX_POINTS, Scenario, load_scenario, validation_summary
 from .spectral import (
     asymptotic_period,
     convergence_diagnostic,
@@ -36,10 +36,12 @@ def _emit(payload: dict, out=None) -> None:
 
 
 def _load(args) -> Scenario:
+    # the scenario's bound on N holds for both point counts a flag can set
+    for flag, value in (("--grid", args.grid), ("--samples", getattr(args, "samples", None))):
+        if value is not None and not 1 <= value <= _MAX_POINTS:
+            raise FlownetError(f"{flag} must be between 1 and {_MAX_POINTS}, got {value}")
     sc = load_scenario(args.scenario)
     if args.grid is not None:
-        if args.grid < 1:
-            raise FlownetError(f"--grid must be at least 1, got {args.grid}")
         sc = dataclasses.replace(sc, resolution=int(args.grid))
     if args.tol is not None:
         sc = dataclasses.replace(
@@ -134,10 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario JSON path, or a bundled name: example1 | example2 | junction")
         p.add_argument("--out", required=csv,
                        help="output CSV path" if csv else "path for a JSON copy of the report")
-        p.add_argument("--grid", type=int, default=None, help="override grid resolution N")
+        p.add_argument("--grid", type=int, default=None, help="override grid resolution N (1..10**6)")
         if sampled:
             p.add_argument("--samples", type=int, default=64,
-                           help="equispaced support sample times per period (default 64)")
+                           help="equispaced support sample times per period, 1..10**6 (default 64)")
         p.add_argument("--tol", type=float, default=None,
                        help="override the stochasticity tolerance")
         if gated:

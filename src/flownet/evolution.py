@@ -11,21 +11,37 @@ The solver evaluates the closed form
 
 valid for 1-periodic column-stochastic schedules: every boundary crossing of
 a characteristic happens at times congruent mod 1, so all k crossings apply
-the same A and only the vector A^k f is needed: positions above the least k0
-take their one or two extra mat-vecs, then binary powering on the vector
-costs bit_length(k0) - 1 squarings (m^3) and popcount(k0) mat-vecs (m^2) per
-grid point.
+the same A and only the vector A^k f is needed.
+
+A flow schedule is powered through its vertices: A = W H (see
+schedules.VertexFactors), so A^k f = W C^(k-1) H f with C = H W, n' x n'
+for the n' <= n vertices some edge enters. Per grid point that costs the
+n' x m mat-vec z = H f, then C^(k-1) z: the one or two extra mat-vecs of
+points above the grid's least exponent k0 - 1, and binary powering on the
+vector with bit_length(k0 - 1) - 1 squarings (n'^3) and popcount(k0 - 1)
+mat-vecs (n'^2); and last u = W z, m products, as W has one entry per row.
+Where t - s < 1 some points cross once and some not at all (k0 = 0):
+those take W H f and these keep f.
+
+Three things stay in edge space. An allocation schedule has no factor
+pair: it takes the extra mat-vecs and binary powering to A^k0 on A itself,
+bit_length(k0) - 1 squarings of m x m, so its outputs stay bitwise those of
+that one path. propagate_many's chain advances multiply by the m x m A: one
+mat-vec per period gains little on a graph with n' near m, and a vertex
+cost in its restart rule would change which times head a chain.
+boundary_residual multiplies by A(t) once.
 
 The grid is powered in chunks. The schedule table (one column per distinct
-expression, N x d values) is evaluated once for the whole grid; each chunk of
-max(1, _CHUNK_BYTES // (8 m^2)) points scatters its rows into a dense stack
-and takes its extra steps and its powering there. k0 and the extra-step range
-are the whole grid's, so a point takes the same products in whatever chunk it
-falls, and the values are bitwise those of one whole-grid stack. Memory is
-O(N (m + d)) for the data, the state and the table, plus one chunk's two
-stacks. The layout is kept too: a powered state (k0 >= 1) is Fortran-ordered,
-as einsum returns it, and an unpowered one is the data's C-ordered array;
-l1_norm sums in layout order.
+expression, N x d values) is evaluated once for the whole grid; each chunk
+scatters its rows into dense stacks and takes its extra steps and its
+powering there: C, its spare and W's entries (2 n'^2 + m values per
+point), or A alone (m^2 values per point, its spare not counted), fill at
+most _CHUNK_BYTES. k0 and the extra-step range are the whole grid's, so a point
+takes the same products in whatever chunk it falls, and the values are
+bitwise those of one whole-grid stack. Memory is O(N (m + d)) for the data,
+the state and the table, plus one chunk's stacks. The layout is kept too: a
+powered state (k0 >= 1) is Fortran-ordered, as einsum returns it, and an
+unpowered one is the data's C-ordered array; l1_norm sums in layout order.
 
 Many query times share work through the one-period recurrence. Two times
 that differ by a whole number of periods see the same phase (t + x) mod 1 at
@@ -51,8 +67,8 @@ from . import expr as ex
 from .errors import EvolutionError
 from .schedules import TimeVaryingMatrix
 
-# Bytes of one (chunk, m, m) stack, about a core's L2 cache: _evolve powers
-# the grid in chunks of max(1, _CHUNK_BYTES // (8 m^2)) points.
+# Bytes of one chunk's powering stacks, about a core's L2 cache: _evolve
+# powers the grid in chunks of at least one point whose stacks fit in it.
 _CHUNK_BYTES = 2 << 20
 # Beyond this t - s, x + t - s no longer tells the grid points apart.
 _MAX_SPAN = 2.0 ** 53
@@ -179,16 +195,34 @@ def _evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, xs: np.nda
     table = M.table(phases)
     k0, kmax = int(ks.min()), int(ks.max())
     result = out if k0 == 0 else np.empty(out.shape, order="F")
-    step = max(1, _CHUNK_BYTES // (8 * M.dim ** 2))
+    factors = M.vertex_factors
+    if factors is None:
+        step = max(1, _CHUNK_BYTES // (8 * M.dim ** 2))
+        for lo in range(0, len(xs), step):
+            hi = lo + step
+            result[:, lo:hi] = _power_chunk(M.scatter(table[lo:hi]), out[:, lo:hi],
+                                            ks[lo:hi], k0, kmax)
+        return result
+    # A^k = W C^(k-1) H for the points that cross; the others (k0 = 0) keep f.
+    # H u comes Fortran-ordered, as einsum returns C z, so that every mat-vec
+    # on C adds in one order, also in a chunk of one point.
+    crossed = ks > 0
+    c0 = int(ks[crossed].min()) - 1
+    n = factors.n
+    step = max(1, _CHUNK_BYTES // (8 * (2 * n * n + M.dim)))
     for lo in range(0, len(xs), step):
         hi = lo + step
-        result[:, lo:hi] = _power_chunk(M.scatter(table[lo:hi]), out[:, lo:hi],
-                                        ks[lo:hi], k0, kmax)
+        w = factors.weights(table[lo:hi])
+        z = _power_chunk(factors.transfer(w), factors.collect(out[:, lo:hi]),
+                         ks[lo:hi] - 1, c0, kmax - 1)
+        u = w.T * z[factors.tails]  # W z, one entry per row
+        result[:, lo:hi] = u if k0 else np.where(crossed[lo:hi], u, out[:, lo:hi])
     return result
 
 
 def _power_chunk(base: np.ndarray, out: np.ndarray, ks: np.ndarray, k0: int, kmax: int):
-    """A^k of one chunk's vectors out, given its stack base of A, in two stacks."""
+    """A^k of one chunk's vectors out, given its stack base of A, in two stacks;
+    a position with k < k0 gets A^k0."""
     # Positions above k0 (by one, or two where rounding moves x = 0 and x = 1
     # across crossings) take extra mat-vecs on the whole chunk, gathering no
     # rows; then all take A^k0 by binary powering on the vector.

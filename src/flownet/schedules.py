@@ -11,9 +11,17 @@ Two kinds of m x m matrix-valued schedules are assembled here:
 
 Entries must be 1-periodic in time, because the solver reads the schedule at
 (t + x) mod 1: TimeVaryingMatrix refuses, however it is built, any entry that
-expr.is_periodic_in_time cannot prove 1-periodic. Its table holds each distinct
-expression once on a time grid; scatter spreads a table into dense stacks. Both
-kinds must be column-stochastic for mass conservation: validators check tables.
+expr.is_periodic_in_time cannot prove 1-periodic, or that has a sin/cos with
+more quarter-period points than the support survey samples; it keeps the
+quarter-period times it found. Its table holds each distinct expression once on
+a time grid; scatter spreads a table into dense stacks. Both kinds must be
+column-stochastic for mass conservation: validators check tables.
+
+A flow schedule also factors through the vertices, as the paper's
+b = phi_minus^T phi_plus does: M = W H, with H the 0/1 head incidence of the
+edges and W the edge weights by tail vertex. VertexFactors holds that pair;
+C = H W has the nonzero spectrum of M and A^k = W C^(k-1) H, so spectra and
+powers can be taken on n' x n' matrices instead of m x m ones.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from . import expr as ex
-from .errors import ScheduleError
+from .errors import ExprEvalError, ScheduleError
 from .graph import NetworkGraph, line_graph_adjacency
 
 FLOW = "flow"
@@ -38,9 +46,84 @@ def _as_expr(value: ExprLike) -> ex.Expr:
     return ex.parse_expr(value) if isinstance(value, str) else value
 
 
-def _not_periodic(where: str, e: ex.Expr) -> ScheduleError:
-    return ScheduleError(f"{where}: {ex.to_source(e)!r} is not 1-periodic in t (t only in sin/cos"
-                         "(k*pi*t + c), |k| and |c|/pi < 2**49; a sum's terms all even or all odd)")
+def _accepted_times(e: ex.Expr) -> frozenset[float]:
+    """The quarter-period times of e, or a ScheduleError, naming no place, when
+    e is not provably 1-periodic or has too many quarter-period points."""
+    if not ex.is_periodic_in_time(e):
+        raise ScheduleError(f"{ex.to_source(e)!r} is not 1-periodic in t (t only in sin/cos"
+                            "(k*pi*t + c), |k| and |c|/pi < 2**49; a sum's terms all even or all odd)")
+    try:
+        return ex.critical_times(e)
+    except ExprEvalError as err:
+        raise ScheduleError(str(err)) from None
+
+
+def _layers(keys, items) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(keys, items) pairs in order, split into layers in which each key occurs
+    once: the first item of every key, then the second, and so on."""
+    seen: dict[int, int] = {}
+    layers: list[tuple[list[int], list[int]]] = []
+    for key, item in zip(keys, items):
+        depth = seen[key] = seen.get(key, -1) + 1
+        if depth == len(layers):
+            layers.append(([], []))
+        layers[depth][0].append(key)
+        layers[depth][1].append(item)
+    return tuple((np.array(k), np.array(i)) for k, i in layers)
+
+
+@dataclass(frozen=True)
+class VertexFactors:
+    """The factor pair of a flow schedule: M = W H, C = H W.
+
+    Edges whose columns of M hold the same expression in each row share a
+    class; in a flow schedule those are the edges entering one vertex, so the
+    n' classes are the vertices some edge enters (those whose out-edges carry
+    no weight fall into one class), numbered in the order of their first edge.
+    H is the 0/1 incidence of edge l's head class heads[l]. W has at most one
+    entry per row: edge k's weight, in the column tails[k] of its tail's
+    class, filled by table column columns[k] of the schedule (-1: no entry).
+    Sums over edges add them in edge order, whatever the number of points.
+    """
+
+    heads: np.ndarray
+    tails: np.ndarray
+    columns: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.heads.max()) + 1
+
+    @cached_property
+    def _in_layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return _layers(self.heads.tolist(), range(self.heads.size))
+
+    @cached_property
+    def _transfer_layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        filled = np.flatnonzero(self.columns >= 0)
+        return _layers((self.heads[filled] * self.n + self.tails[filled]).tolist(), filled)
+
+    def weights(self, table: np.ndarray) -> np.ndarray:
+        """W's entry of each edge on a table of the schedule, shape (len(table), m)."""
+        out = np.zeros((len(table), self.columns.size))
+        filled = self.columns >= 0
+        out[:, filled] = table[:, self.columns[filled]]
+        return out
+
+    def collect(self, values: np.ndarray) -> np.ndarray:
+        """H values, shape (n', r) for values (m, r); Fortran-ordered."""
+        out = np.zeros((self.n, values.shape[1]), order="F")
+        for classes, edges in self._in_layers:
+            out[classes] += values[edges]
+        return out
+
+    def transfer(self, weights: np.ndarray) -> np.ndarray:
+        """Stack of C = H W for a stack of W's entries, shape (len(weights), n', n'):
+        C[v, w] is the sum of the weights of the edges from w to v."""
+        out = np.zeros((len(weights), self.n * self.n))
+        for flat, edges in self._transfer_layers:
+            out[:, flat] += weights[:, edges]
+        return out.reshape(len(weights), self.n, self.n)
 
 
 @dataclass(frozen=True)
@@ -49,7 +132,8 @@ class TimeVaryingMatrix:
 
     ``entries`` is keyed by 1-based (row k, col l). ``adjacency`` is the 0/1
     support allowed by the underlying graph; every key must lie inside it.
-    Construction fails on the first (k, l) whose entry is not 1-periodic.
+    Construction fails on the first (k, l) whose entry is not 1-periodic or
+    has a sin/cos with too many quarter-period points.
     """
 
     dim: int
@@ -58,11 +142,17 @@ class TimeVaryingMatrix:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        bad = [min(zip(rows.tolist(), cols.tolist()))
-               for e, rows, cols in self._scatter if not ex.is_periodic_in_time(e)]
+        times: set[float] = set()
+        bad = []
+        for e, rows, cols in self._scatter:
+            try:
+                times |= _accepted_times(e)
+            except ScheduleError as err:
+                bad.append((min(zip(rows.tolist(), cols.tolist())), str(err)))
         if bad:
-            k, l = (i + 1 for i in min(bad))
-            raise _not_periodic(f"entry ({k},{l})", self.entries[(k, l)])
+            (k, l), why = min(bad)
+            raise ScheduleError(f"entry ({k + 1},{l + 1}): {why}")
+        object.__setattr__(self, "_critical_times", frozenset(times))
 
     @cached_property
     def _scatter(self) -> tuple[tuple[ex.Expr, np.ndarray, np.ndarray], ...]:
@@ -99,10 +189,29 @@ class TimeVaryingMatrix:
 
     def critical_times(self) -> frozenset[float]:
         """Union of quarter-period times of every trig factor in any entry."""
-        times: set[float] = set()
-        for e, _, _ in self._scatter:
-            times |= ex.critical_times(e)
-        return frozenset(times)
+        return self._critical_times
+
+    @cached_property
+    def vertex_factors(self) -> VertexFactors | None:
+        """The factor pair of a flow schedule; None for an allocation schedule,
+        or for a matrix whose row fills more than one class, which no flow
+        assembly makes."""
+        if self.kind != FLOW:
+            return None
+        cells = [(k, l, j) for j, (_, rows, cols) in enumerate(self._scatter)
+                 for k, l in zip(rows.tolist(), cols.tolist())]
+        column: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
+        for k, l, j in cells:
+            column[l].append((k, j))
+        classes: dict[tuple, int] = {}
+        heads = [classes.setdefault(tuple(sorted(c)), len(classes)) for c in column]
+        row: list[set[tuple[int, int]]] = [set() for _ in range(self.dim)]
+        for k, l, j in cells:
+            row[k].add((heads[l], j))
+        if any(len(r) > 1 for r in row):
+            return None
+        tails, columns = zip(*(r.pop() if r else (0, -1) for r in row))
+        return VertexFactors(np.array(heads), np.array(tails), np.array(columns))
 
 
 @dataclass(frozen=True)
@@ -162,8 +271,12 @@ def assemble_weighted_adjacency(
     try:
         return TimeVaryingMatrix(dim=g.m, entries=entries, kind=FLOW, adjacency=b)
     except ScheduleError:  # name the weight the user wrote, not an entry it fills
-        (i, j), w = next(kv for kv in parsed.items() if not ex.is_periodic_in_time(kv[1]))
-        raise _not_periodic(f"weight ({i},{j})", w) from None
+        for (i, j), w in parsed.items():
+            try:
+                _accepted_times(w)
+            except ScheduleError as err:
+                raise ScheduleError(f"weight ({i},{j}): {err}") from None
+        raise
 
 
 def assemble_allocation(

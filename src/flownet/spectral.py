@@ -5,7 +5,10 @@ multiple, over one period of the schedule, of the cyclic indices of the
 active subnetwork G_t (edges with inflow at time t). The cyclic index is
 computed combinatorially from the support pattern; the number of peripheral
 eigenvalues of the sampled matrix provides an independent spectral route to
-the same number, which the tests cross-check.
+the same number, which the tests cross-check. For a flow schedule the count
+is taken on the vertex transfer matrix C = H W of the factor pair M = W H
+(schedules.VertexFactors): C is n' x n' where M is m x m, and it has the
+same nonzero eigenvalues as M with the same multiplicities.
 
 Support patterns are surveyed in one place, _survey_support. It evaluates
 the schedule once on the sample times, as a table of the distinct
@@ -13,7 +16,8 @@ expressions, and tells patterns apart by the table rows' entries above
 zero_tol; each distinct pattern is built, hashed and checked once.
 validation_summary, asymptotic_period and, through the period report,
 strictly_positive_shortcut all read that one survey; asymptotic_period runs
-each sample's eigensolve on the survey's table, one dense matrix at a time.
+each sample's eigensolve on the survey's table, one dense matrix (C, or M for
+an allocation schedule) at a time.
 """
 
 from __future__ import annotations
@@ -167,12 +171,15 @@ def asymptotic_period(
             f"support pattern at t={float(survey.reducible_times[0])} is reducible: the time-t "
             "network must be strongly connected for the asymptotic period to exist"
         )
+    # C = H W shares M's nonzero spectrum, so it has M's peripheral count
+    factors = M.vertex_factors
+    square = M.scatter if factors is None else lambda rows: factors.transfer(factors.weights(rows))
     samples = tuple(
         PeriodSample(
             time=float(t),
             pattern_hash=digest,
             cyclic_index=survey.cyclic_indices[digest],
-            peripheral_count=peripheral_count(M.scatter(row[None])[0]),
+            peripheral_count=peripheral_count(square(row[None])[0]),
         )
         for t, digest, row in zip(sample_times, survey.hashes, survey.table)
     )

@@ -16,6 +16,7 @@ import networkx as nx
 import numpy as np
 
 from flownet import EvolutionError, InitialData, TimeVaryingMatrix, build_graph, parse_expr
+from flownet import evolution
 from flownet.evolution import EdgeDensityField, ExprProfile, PiecewiseProfile, _evolve, midpoints
 
 EXAMPLE1_EDGES = [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 3)]
@@ -227,6 +228,43 @@ def initial_from_evolution(
 ) -> InitialData:
     """The state at time t, exactly samplable, for restarting the evolution."""
     return _EvolvedData((), M, f, s, t)
+
+
+def edge_space_evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, xs) -> np.ndarray:
+    """The closed form with every schedule powered as the m x m A, as _evolve
+    was before flow schedules were powered through their vertices: the
+    oracle for that path, and bitwise what allocation schedules still take."""
+    if t < s:
+        raise EvolutionError(f"query time {t} precedes start time {s}")
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if np.any(xs < 0.0) or np.any(xs > 1.0):
+        raise EvolutionError("positions must lie in [0, 1]")
+    if f.m != M.dim:
+        raise EvolutionError(f"initial data has {f.m} edges, matrix has {M.dim}")
+    phases, ks, xi = evolution._characteristics(xs, s, t)
+    out = f.evaluate(xi)
+    if not ks.any():  # the start-time state: A^0 is the identity
+        return out
+    # k0 and the extra-step range are the whole grid's, and a powered result
+    # keeps einsum's Fortran order (l1_norm sums in layout order): values and
+    # layout stay bitwise those of one whole-grid stack.
+    table = M.table(phases)
+    k0, kmax = int(ks.min()), int(ks.max())
+    result = out if k0 == 0 else np.empty(out.shape, order="F")
+    step = max(1, evolution._CHUNK_BYTES // (8 * M.dim ** 2))
+    for lo in range(0, len(xs), step):
+        hi = lo + step
+        result[:, lo:hi] = evolution._power_chunk(M.scatter(table[lo:hi]), out[:, lo:hi],
+                                                  ks[lo:hi], k0, kmax)
+    return result
+
+
+def chunk_points(M: TimeVaryingMatrix) -> int:
+    """Points per chunk of _evolve on M: its stacks fill at most _CHUNK_BYTES."""
+    if M.vertex_factors is None:
+        return max(1, evolution._CHUNK_BYTES // (8 * M.dim * M.dim))
+    n = M.vertex_factors.n
+    return max(1, evolution._CHUNK_BYTES // (8 * (2 * n * n + M.dim)))
 
 
 def oracle_characteristics(

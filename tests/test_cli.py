@@ -327,6 +327,11 @@ def _limit_memory():
     (["converge", "--grid", "0"], 2, "--grid"),
     (["converge", "--grid", "1", "--horizon", "1e300"], 1, "2**53"),
     (["converge", "--grid", "1", "--stride", "1e-300"], 1, "does not advance"),
+    (["simulate", "--grid", "1000001", "--t-end", "1"], 2, "--grid"),
+    (["period", "--samples", "-3"], 2, "--samples"),
+    (["period", "--samples", "0"], 2, "--samples"),
+    (["converge", "--samples", "1000001"], 2, "--samples"),
+    (["converge", "--tau", "1", "--samples", "0"], 2, "--samples"),
 ])
 def test_degenerate_arguments_fail_in_one_line(tmp_path, argv, code, needle):
     if argv[0] in ("simulate", "converge"):
@@ -355,7 +360,9 @@ _BIG = "1" + "0" * 300
     ("/weights/1,1", "1" + "+0" * 5000, "deeper than 64 levels"),
     ("/weights/1,1", "-" * 2000 + "1", "deeper than 64 levels"),
     ("/weights/1,1", f"cos(2*pi*t + 1{'0' * 308})^2*0 + 1", "1-periodic"),
-    ("/weights/1,1", "cos(1000000000*pi*t)^2*0 + 1", "quarter-period points"),
+    ("/weights/1,1", "cos(1000000000*pi*t)^2*0 + 1",
+     "/weights: weight (1,1): 'cos(1000000000 * pi * t)^2 * 0 + 1' has a sin/cos with more "
+     "than 4096 quarter-period points"),
     ("/graph/n", 10 ** 400, "/graph/n"),
 ], ids=["n-string", "n-null", "n-fraction", "stochastic-string", "breaks-list", "weight-superscript",
         "weight-power-overflow", "weight-infinite-intercept", "weight-slope-past-2**49",

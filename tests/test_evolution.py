@@ -9,6 +9,7 @@ import helpers
 from flownet import (
     EvolutionError,
     InitialData,
+    assemble_allocation,
     assemble_weighted_adjacency,
     boundary_residual,
     build_graph,
@@ -353,7 +354,7 @@ def test_evolve_memory_stays_within_two_stacks():
 
 def _evolve_whole_grid(M, f, s, t, xs):
     """_evolve before chunking: one (N, m, m) stack for the whole grid. The
-    oracle for the chunked values and their memory layout."""
+    oracle for an allocation schedule's chunked values and memory layout."""
     phases, ks, xi = evolution._characteristics(xs, s, t)
     out = f.evaluate(xi)
     if not ks.any():
@@ -378,45 +379,54 @@ def ring_setup(n):
     return assemble_weighted_adjacency(g, weights), smooth_initial(g.m)
 
 
-def chunk_points(m):
-    return max(1, evolution._CHUNK_BYTES // (8 * m * m))
+def allocation_twin(M):
+    """The same schedule as an allocation one, which _evolve powers as m x m A."""
+    return assemble_allocation(M.adjacency, M.entries)
 
 
-def assert_same_as_whole_grid(M, f, s, t, xs):
+def assert_same_as_whole_grid(monkeypatch, M, f, s, t, xs):
     got = _evolve(M, f, s, t, xs)
-    expected = _evolve_whole_grid(M, f, s, t, xs)
+    with monkeypatch.context() as whole:
+        whole.setattr(evolution, "_CHUNK_BYTES", 1 << 62)
+        expected = _evolve(M, f, s, t, xs)
+    if M.vertex_factors is None:  # and bitwise the closed form before chunking
+        assert expected.tobytes("A") == _evolve_whole_grid(M, f, s, t, xs).tobytes("A")
     assert got.tobytes("A") == expected.tobytes("A"), (len(xs), t - s)
     assert got.flags.f_contiguous == expected.flags.f_contiguous, (len(xs), t - s)
     assert got.flags.c_contiguous == expected.flags.c_contiguous, (len(xs), t - s)
 
 
 @pytest.mark.parametrize("span", [0.0, 0.3, 1.0, 7.5, 1000.5])
-def test_chunked_evolve_is_bitwise_the_whole_grid(span):
-    M, f = ring_setup(8)  # m = 24
-    c = chunk_points(M.dim)
-    assert c > 1
+def test_chunked_evolve_is_bitwise_the_whole_grid(monkeypatch, span):
+    flow, f = ring_setup(8)  # m = 24, n' = 8
     s = 0.2
-    for N in (1, c - 1, c, c + 1, 3 * c + 7):
-        assert_same_as_whole_grid(M, f, s, s + span, midpoints(N))
+    for M in (flow, allocation_twin(flow)):
+        c = helpers.chunk_points(M)
+        assert c > 1
+        for N in (1, c - 1, c, c + 1, 3 * c + 7):
+            assert_same_as_whole_grid(monkeypatch, M, f, s, s + span, midpoints(N))
 
 
-def test_chunked_evolve_one_point_per_chunk():
-    M, f = ring_setup(171)  # m = 513: one stack of one point exceeds the budget
-    assert chunk_points(M.dim) == 1
-    for span in (0.0, 0.3, 1.0, 7.5):
-        assert_same_as_whole_grid(M, f, 0.2, 0.2 + span, midpoints(4))
+def test_chunked_evolve_one_point_per_chunk(monkeypatch):
+    flow, f = ring_setup(8)
+    monkeypatch.setattr(evolution, "_CHUNK_BYTES", 8)  # one point's stacks exceed the budget
+    for M in (flow, allocation_twin(flow)):
+        assert helpers.chunk_points(M) == 1
+        for span in (0.0, 0.3, 1.0, 7.5):
+            assert_same_as_whole_grid(monkeypatch, M, f, 0.2, 0.2 + span, midpoints(4))
 
 
-def test_chunks_power_from_the_global_least_crossing():
+def test_chunks_power_from_the_global_least_crossing(monkeypatch):
     # Above x = 1/2 every chunk crosses k0 + 1 times: powering such a chunk
     # from its own least crossing groups the products differently.
-    M, f = ring_setup(8)
-    c = chunk_points(M.dim)
-    xs = midpoints(3 * c + 7)
-    for span in (7.5, 1000.5):
-        ks = evolution._characteristics(xs, 0.0, span)[1]
-        assert any(ks[lo:lo + c].min() > ks.min() for lo in range(0, len(xs), c))
-        assert_same_as_whole_grid(M, f, 0.0, span, xs)
+    flow, f = ring_setup(8)
+    for M in (flow, allocation_twin(flow)):
+        c = helpers.chunk_points(M)
+        xs = midpoints(3 * c + 7)
+        for span in (7.5, 1000.5):
+            ks = evolution._characteristics(xs, 0.0, span)[1]
+            assert any(ks[lo:lo + c].min() > ks.min() for lo in range(0, len(xs), c))
+            assert_same_as_whole_grid(monkeypatch, M, f, 0.0, span, xs)
 
 
 @pytest.mark.parametrize("N", [20000, 100000])

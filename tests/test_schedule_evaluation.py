@@ -97,12 +97,13 @@ def test_each_distinct_expression_is_evaluated_once(monkeypatch):
 
 
 def test_critical_times_walk_each_distinct_expression_once(monkeypatch):
-    M = load_scenario("example2").matrix
     calls = []
     critical_times = ex.critical_times
     monkeypatch.setattr(ex, "critical_times", lambda e: calls.append(e) or critical_times(e))
-    times = M.critical_times()
+    M = load_scenario("example2").matrix  # the quarter-point cap is checked at load
     assert len(calls) == len(set(calls)) == 6
+    times = M.critical_times()
+    assert M.critical_times() is times and len(calls) == 6
     assert times == frozenset().union(*(critical_times(e) for e in M.entries.values()))
 
 
