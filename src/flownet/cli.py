@@ -3,6 +3,12 @@
 Exit codes: 0 all checks passed, 1 validation or hypothesis failure,
 2 usage or parse error. All commands are deterministic: identical scenario
 and flags produce byte-identical output.
+
+Every command prints one JSON report (validate and period also copy it to
+--out): keys sorted, indented by 2, the same bytes as
+json.dumps(report, indent=2, sort_keys=True), with NaN and Infinity for
+non-finite values. Those values are the report's to show, so numpy's
+floating-point warnings are silenced while a command runs.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ import argparse
 import dataclasses
 import json
 import sys
+
+import numpy as np
 
 from .errors import FlownetError, HypothesisError, SpectralError
 from .evolution import l1_norm, propagate
@@ -27,8 +35,33 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _to_json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for str keys.
+
+    That call runs json's pure-Python encoder, one generator step per value;
+    here a list of plain ints, such as a support pattern's row, is one join.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("report keys must be str")
+        opening, closing = "{", "}"
+        items = [f"{json.dumps(key)}: {_to_json(value, inner)}"
+                 for key, value in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        opening, closing = "[", "]"
+        # type, not isinstance: a bool is an int that json writes as true/false
+        items = (map(int.__repr__, obj) if set(map(type, obj)) == {int}
+                 else [_to_json(value, inner) for value in obj])
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + indent + closing
+
+
 def _emit(payload: dict, out=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _to_json(payload)
     print(text)
     if out is not None:
         with open(out, "w") as fh:
@@ -172,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (HypothesisError, SpectralError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED

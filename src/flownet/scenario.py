@@ -32,6 +32,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import (
+    ExprEvalError,
     ExprSyntaxError,
     FlownetError,
     GraphError,
@@ -117,11 +118,17 @@ def _parse_pair(key: str, pointer: str) -> tuple[int, int]:
 
 
 def _parse_weight(source, pointer: str, var: str = "t") -> ex.Expr:
+    """The parsed expression, evaluated once on no points: every term in the
+    variable comes out empty, so only the faults that no grid escapes (a
+    constant that overflows, a constant zero divisor) are raised, here at
+    pointer rather than later without it."""
     _require(isinstance(source, str), "expression must be a string", pointer)
     try:
-        return ex.parse_expr(source, var=var)
-    except ExprSyntaxError as err:
+        e = ex.parse_expr(source, var=var)
+        ex.evaluate(e, np.empty(0))
+    except (ExprSyntaxError, ExprEvalError) as err:
         raise ScenarioError(f"bad expression {source!r}: {err}", pointer) from err
+    return e
 
 
 def load_scenario(path) -> Scenario:

@@ -7,10 +7,13 @@ networkx instead of BFS level gcd) so tests cross-check two routes.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -18,6 +21,18 @@ import numpy as np
 from flownet import EvolutionError, InitialData, TimeVaryingMatrix, build_graph, parse_expr
 from flownet import evolution
 from flownet.evolution import EdgeDensityField, ExprProfile, PiecewiseProfile, _evolve, midpoints
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_perfbench(name: str):
+    """perfbench/<name>.py as a module, imported read-only."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
 
 EXAMPLE1_EDGES = [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 3)]
 EXAMPLE1_WEIGHTS = {

@@ -9,6 +9,7 @@ import pytest
 
 import flownet
 import helpers
+from flownet import cli
 from flownet.cli import build_parser, main
 
 
@@ -353,7 +354,10 @@ _BIG = "1" + "0" * 300
     ("/tolerances/stochastic", "a", "/tolerances/stochastic"),
     ("/initial/1", {"breaks": [0, [1]], "values": [1]}, "/initial/1"),
     ("/weights/1,1", "1²", "/weights/1,1"),
-    ("/weights/1,1", "2^100000", "overflows"),
+    ("/weights/1,1", "2^100000", "/weights/1,1: bad expression '2^100000': 2.0^100000 overflows"),
+    ("/initial/1", "2^100000", "/initial/1: bad expression '2^100000': 2.0^100000 overflows"),
+    ("/weights/1,1", "cos(pi*t)^2 + 1/(2-2)", "/weights/1,1: bad expression "
+     "'cos(pi*t)^2 + 1/(2-2)': division by zero"),
     ("/weights/1,1", f"sin(2*pi*t + {_BIG}*{_BIG})", "1-periodic"),
     ("/weights/1,1", "cos(t/sin(pi))^2*0 + 1", "1-periodic"),
     ("/weights/1,1", "(" * 400 + "1" + ")" * 400, "deeper than 64 levels"),
@@ -365,7 +369,8 @@ _BIG = "1" + "0" * 300
      "than 4096 quarter-period points"),
     ("/graph/n", 10 ** 400, "/graph/n"),
 ], ids=["n-string", "n-null", "n-fraction", "stochastic-string", "breaks-list", "weight-superscript",
-        "weight-power-overflow", "weight-infinite-intercept", "weight-slope-past-2**49",
+        "weight-power-overflow", "initial-power-overflow", "weight-constant-divisor-zero",
+        "weight-infinite-intercept", "weight-slope-past-2**49",
         "weight-400-parentheses", "weight-5000-term-sum", "weight-2000-minus-signs",
         "weight-huge-intercept", "weight-huge-slope", "n-huge"])
 def test_malformed_scenario_fails_in_one_line(tmp_path, pointer, value, needle):
@@ -380,10 +385,37 @@ def test_malformed_scenario_fails_in_one_line(tmp_path, pointer, value, needle):
 
 @pytest.mark.parametrize("command", [["validate"], ["simulate", "--t-end", "2", "--out", "o.csv"]])
 def test_weight_of_an_overflowing_constant_fails_without_traceback(tmp_path, command):
-    # cos(sin(inf)) is var-free, so the gate passes it; it evaluates to nan
-    doc = helpers.base_flow_scenario()
-    doc["weights"]["1,1"] = f"cos(pi*t)^2*cos(sin({_BIG}*{_BIG}))"
-    helpers.write_scenario(tmp_path, doc)
-    done = run_process(command + ["--scenario", "scenario.json"], tmp_path)
-    assert done.returncode == 1, done.stderr
-    assert "Traceback" not in done.stderr
+    # cos(sin(inf)) is var-free, so the gate passes it; it evaluates to nan.
+    # (2^600)*(2^600) is inf. Each fails the report, which shows the value,
+    # and numpy's warnings about it stay off stderr.
+    for weight in (f"cos(pi*t)^2*cos(sin({_BIG}*{_BIG}))", "(2^600)*(2^600)"):
+        doc = helpers.base_flow_scenario()
+        doc["weights"]["1,1"] = weight
+        helpers.write_scenario(tmp_path, doc)
+        done = run_process(command + ["--scenario", "scenario.json"], tmp_path)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr, done.stderr
+        if command == ["validate"]:
+            assert done.stderr == ""
+            assert json.loads(done.stdout)["passed"] is False
+        else:
+            assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "period"])
+def test_report_of_a_150_edge_ring_is_the_json_module_bytes(tmp_path, capsys, monkeypatch, command):
+    # the golden files cover the bundled scenarios; this report holds three
+    # 150 x 150 support patterns
+    path = helpers.write_scenario(tmp_path, helpers.load_perfbench("gen").ring_scenario(1, 50))
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload, out=None: (payloads.append(payload),
+                                                                   emit(payload, out)))
+    out = tmp_path / "report.json"
+    code, text, err = run(capsys, [command, "--scenario", str(path), "--out", str(out)])
+    assert (code, err) == (0, "")
+    [payload] = payloads
+    patterns = payload["distinct_patterns"] if command == "period" else payload["support"]["patterns"]
+    assert len(patterns) == 3
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert out.read_text() == text

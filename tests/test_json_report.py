@@ -1,0 +1,67 @@
+"""The CLI's JSON writer against its oracle, json.dumps(indent=2, sort_keys=True).
+
+Every report the CLI prints goes through cli._to_json, which must give the
+same bytes as the json module on any payload with str keys, and refuse any
+other key.
+"""
+
+import json
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from flownet.cli import _to_json
+
+# quotes, backslashes, control characters and non-ASCII, which json escapes
+_TRICKY = '"\\/\x00\x07\x1f\x7f\b\f\n\r\té€ \ud800\U0001f600'
+texts = st.text(st.one_of(st.characters(), st.sampled_from(_TRICKY)))
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2 ** 200), 2 ** 200),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-05, 5e-324]),
+    texts,
+)
+int_lists = st.lists(st.one_of(st.integers(), st.booleans()))  # bools among ints
+patterns = st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=8), max_size=8)
+# mostly str keys, so that most payloads reach the comparison
+keys = st.one_of(texts, texts, texts, st.integers(), st.floats(), st.booleans(), st.none())
+
+payloads = st.recursive(
+    st.one_of(scalars, int_lists, int_lists.map(tuple), patterns),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(keys, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+def has_non_str_key(obj) -> bool:
+    if isinstance(obj, dict):
+        return any(not isinstance(k, str) or has_non_str_key(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return any(has_non_str_key(v) for v in obj)
+    return False
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(payloads)
+@example([1, True])
+@example({"a": [], "b": {}, "c": (), "d": [[]], "e": [{}]})
+@example({"patterns": {"ab": [[0, 1], [1, 0]]}, "tau": 2, "shortcut_tau": None})
+@example([math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-05, 5e-324, -(10 ** 40)])
+@example({"kéy \"q\" \\ \x01": {"\U0001f600": True}})
+@example({1: "x"})
+def test_writer_gives_the_json_module_bytes_or_refuses_a_non_str_key(obj):
+    if has_non_str_key(obj):
+        with pytest.raises(TypeError):
+            _to_json(obj)
+    else:
+        assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)

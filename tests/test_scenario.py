@@ -10,6 +10,7 @@ from flownet import (
     load_scenario,
     validation_summary,
 )
+from flownet.scenario import scenario_from_dict
 
 
 def test_bundled_example1_reproduces_flow_setup():
@@ -79,6 +80,27 @@ def test_expression_error_carries_pointer_and_offset(tmp_path):
         load_scenario(path)
     assert err.value.pointer == "/weights/1,1"
     assert "offset 4" in str(err.value)
+
+
+@pytest.mark.parametrize("source,needle", [
+    ("2^2000", "2.0^2000 overflows"),
+    ("1/(1-1) + 0*t", "division by zero"),
+    ("0^-1", "zero raised to a negative power"),
+])
+def test_evaluation_error_in_a_junction_entry_carries_its_pointer(source, needle):
+    doc = json.loads(bundled_scenario_path("junction").read_text())
+    doc["junctions"][0]["matrix"][1][0] = source
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.pointer == "/junctions/0/matrix/1/0" and needle in str(err.value)
+
+
+def test_a_divisor_that_vanishes_off_the_grid_still_loads(tmp_path):
+    # load evaluates on no points, and the midpoint grid never reaches x = 0
+    doc = helpers.base_flow_scenario()
+    doc["initial"]["1"] = "1/x"
+    summary = validation_summary(load_scenario(helpers.write_scenario(tmp_path, doc)))
+    assert summary["passed"] and summary["initial_min_density"] == 0.0
 
 
 def test_missing_initial_edge_rejected(tmp_path):

@@ -8,25 +8,14 @@ fail here rather than in a later traced benchmark run. perfbench/ is only read.
 """
 
 import importlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 import flownet
 from flownet import cli
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_perfbench(name: str):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_perfbench
 
 
 def test_every_traced_span_resolves():

@@ -7,9 +7,6 @@ and _evolve, which powers C for flow schedules, against the edge-space
 closed form in helpers.edge_space_evolve.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +19,6 @@ from flownet.evolution import _evolve, midpoints
 from flownet.scenario import load_scenario, scenario_from_dict
 from flownet.schedules import FLOW
 from flownet.spectral import peripheral_count
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @st.composite
@@ -106,11 +101,8 @@ def assert_close(got, expected):
 
 
 def ring(vertices):
-    """A perfbench ring scenario (perfbench/gen.py, imported read-only)."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return scenario_from_dict(gen.ring_scenario(1, vertices))
+    """A perfbench ring scenario (perfbench/gen.py)."""
+    return scenario_from_dict(helpers.load_perfbench("gen").ring_scenario(1, vertices))
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
