@@ -1,8 +1,10 @@
 """Command-line interface: validate | simulate | period | converge.
 
 Exit codes: 0 all checks passed, 1 validation or hypothesis failure,
-2 usage or parse error. All commands are deterministic: identical scenario
-and flags produce byte-identical output.
+2 usage or parse error, or a file the system refuses (an --out path that
+cannot be written, a --scenario path that cannot be read), reported in one
+`error:` line. All commands are deterministic: identical scenario and flags
+produce byte-identical output.
 
 Every command prints one JSON report (validate and period also copy it to
 --out): keys sorted, indented by 2, the same bytes as
@@ -62,10 +64,10 @@ def _to_json(obj, indent: str = "\n") -> str:
 
 def _emit(payload: dict, out=None) -> None:
     text = _to_json(payload)
-    print(text)
-    if out is not None:
+    if out is not None:  # first, so that a path that cannot be written prints no report
         with open(out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _load(args) -> Scenario:
@@ -212,6 +214,10 @@ def main(argv=None) -> int:
         return EXIT_FAILED
     except FlownetError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as err:  # the system refused a file, a fork or a temporary file
+        where = f"{err.filename}: " if err.filename is not None else ""
+        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -53,13 +53,25 @@ first time of a chain is evaluated by propagate; every later one advances
 the chain's state, at a cost of one mat-vec per grid point per period. A
 gap of n periods to k crossings heads the chain anew through propagate when
 n > (bit_length(k) - 1) * m + popcount(k), the closed form's cost in mat-vecs.
+
+A field's CSV is formatted on every CPU of the process's affinity mask: its
+edges are cut into contiguous blocks, one per CPU and at most one per edge,
+and each block after the first is formatted by a forked child into a
+temporary file that the parent appends after its own block. Where the mask
+or os.fork is not available there is one block and no fork. The bytes are
+the same for every cut, and no option selects it. Formatting is nearly all
+float repr, which no serial rewrite shortens.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
@@ -142,22 +154,72 @@ class EdgeDensityField:
         return midpoints(self.resolution)
 
     def write_csv(self, path) -> None:
-        """Rows `edge,x,value,t,s`, one per (edge, grid point)."""
+        """Rows `edge,x,value,t,s`, one per (edge, grid point), in blocks of edges.
+
+        The parent opens the file first, so that a bad path fails before any
+        fork, then forks one child per block after the first (_blocks). A
+        child formats its block into a temporary file opened before the fork
+        and leaves through os._exit, so it flushes no inherited buffer and
+        never returns to the caller. The parent formats the first block into
+        the file, waits for every child in order, and appends their files.
+        A child that fails makes it raise EvolutionError.
+        """
         # One row template per grid point, joined by the edge number; %r is
         # repr, and neither the x nor the tail fields can hold a %.
         tail = f",{self.time!r},{self.origin!r}\r\n"
         template = [""] + [f",{x!r},%r{tail}" for x in self.grid().tolist()]
-        rows = (str(j).join(template) % tuple(row.tolist())
-                for j, row in enumerate(self.values, start=1))
-        write_csv_rows(path, "edge,x,value,t,s", rows)
+        cuts = _blocks(len(self.values))
+        with csv_file(path, "edge,x,value,t,s") as fh, contextlib.ExitStack() as parts:
+            children = []
+            try:
+                for lo, hi in zip(cuts[1:], cuts[2:]):
+                    part = parts.enter_context(tempfile.TemporaryFile("w+", newline=""))
+                    pid = os.fork()
+                    if pid == 0:  # the child formats rows only and calls no BLAS
+                        status = 1
+                        try:
+                            part.writelines(_field_rows(template, self.values[lo:hi], lo + 1))
+                            part.flush()
+                            status = 0
+                        finally:
+                            os._exit(status)
+                    children.append((pid, lo, hi, part))
+                fh.writelines(_field_rows(template, self.values[:cuts[1]], 1))
+            finally:
+                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                         for pid, *_ in children]
+            fh.flush()  # the parts' bytes go to the file's buffer, after it
+            for code, (_, lo, hi, part) in zip(codes, children):
+                if code:
+                    raise EvolutionError(f"formatting the CSV rows of edges {lo + 1}..{hi} "
+                                         f"failed in a child process (status {code})")
+                part.seek(0)
+                shutil.copyfileobj(part.buffer, fh.buffer)
 
 
-def write_csv_rows(path, header: str, blocks: Iterable[str]) -> None:
-    """The header, then blocks of whole rows ending in \\r\\n, as csv.writer
-    would write them: fields formatted by repr need no quoting."""
+def _field_rows(template: list[str], values: np.ndarray, first_edge: int) -> Iterator[str]:
+    """The CSV rows of consecutive edges from first_edge, one values row each."""
+    return (str(j).join(template) % tuple(row.tolist())
+            for j, row in enumerate(values, start=first_edge))
+
+
+def _blocks(m: int) -> list[int]:
+    """Cuts 0 = c_0 <= ... <= c_b = m of m edges into b near-equal blocks: one
+    per CPU of the affinity mask, at most m, and one where the mask or
+    os.fork is not available."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
+    b = max(1, min(cpus, m))
+    return [m * i // b for i in range(b + 1)]
+
+
+@contextlib.contextmanager
+def csv_file(path, header: str) -> Iterator[TextIO]:
+    """The file at path, open for whole rows ending in \\r\\n after the header, as
+    csv.writer would write them: fields formatted by repr need no quoting."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        fh.writelines(blocks)
+        yield fh
 
 
 def midpoints(n: int) -> np.ndarray:

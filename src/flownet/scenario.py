@@ -89,12 +89,17 @@ def _require(condition: bool, message: str, pointer: str) -> None:
         raise ScenarioError(message, pointer)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _scalar(doc: dict, key: str, pointer: str, default, integer: bool = False,
             low: float = -math.inf, strict: bool = False, high: float = math.inf):
     """doc[key], or default if absent: a JSON integer, or a finite number read as
     a float, at least low (above low if strict), at most high. Else a ScenarioError at pointer."""
     value = doc.get(key, default)
-    ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    ok = _is_int(value) or not integer and isinstance(value, float)
     if ok and not integer:
         try:
             value = float(value)
@@ -111,10 +116,10 @@ def _scalar(doc: dict, key: str, pointer: str, default, integer: bool = False,
 def _parse_pair(key: str, pointer: str) -> tuple[int, int]:
     parts = key.split(",")
     _require(len(parts) == 2, f"key {key!r} must look like 'a,b'", pointer)
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ScenarioError(f"key {key!r} must hold two integers", pointer) from None
+    # int() would also read ' 4', '+4', '4_0' and non-ASCII digits such as '٤'
+    _require(all(p.isascii() and p.isdigit() for p in parts),
+             f"key {key!r} must hold two integers", pointer)
+    return int(parts[0]), int(parts[1])
 
 
 def _parse_weight(source, pointer: str, var: str = "t") -> ex.Expr:
@@ -140,8 +145,10 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ScenarioError(f"not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ScenarioError("not valid JSON: arrays or objects nested too deeply") from err
     return scenario_from_dict(doc)
 
 
@@ -157,8 +164,7 @@ def scenario_from_dict(doc) -> Scenario:
     _require(isinstance(edges, list) and edges, "'edges' must be a nonempty list", "/graph/edges")
     for idx, pair in enumerate(edges):
         _require(
-            isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(v, int) for v in pair),
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair)),
             "each edge must be a [tail, head] pair of integers",
             f"/graph/edges/{idx}",
         )
@@ -233,8 +239,9 @@ def _junction_matrix(g: NetworkGraph, junctions_doc) -> TimeVaryingMatrix:
         incoming = jdoc.get("in")
         outgoing = jdoc.get("out")
         rows = jdoc.get("matrix")
-        _require(isinstance(incoming, list) and incoming, "'in' must be a nonempty list", f"{pointer}/in")
-        _require(isinstance(outgoing, list) and outgoing, "'out' must be a nonempty list", f"{pointer}/out")
+        for key, edges in (("in", incoming), ("out", outgoing)):
+            _require(isinstance(edges, list) and edges and all(map(_is_int, edges)),
+                     f"{key!r} must be a nonempty list of edge numbers", f"{pointer}/{key}")
         _require(isinstance(rows, list) and rows, "'matrix' must be a nonempty list of rows", f"{pointer}/matrix")
         parsed_rows = []
         for r, row in enumerate(rows):
@@ -274,7 +281,7 @@ def _initial_data(g: NetworkGraph, initial_doc) -> InitialData:
                     PiecewiseProfile(tuple(float(b) for b in breaks),
                                      tuple(float(v) for v in values))
                 )
-            except (FlownetError, ValueError, TypeError) as err:
+            except (FlownetError, ValueError, TypeError, OverflowError) as err:
                 raise ScenarioError(str(err), pointer) from err
         else:
             raise ScenarioError("initial density must be an expression string or "

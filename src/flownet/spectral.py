@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import HypothesisError, SpectralError
-from .evolution import _MAX_SPAN, InitialData, propagate_many, write_csv_rows
+from .evolution import _MAX_SPAN, InitialData, csv_file, propagate_many
 from .graph import cyclic_index, is_strongly_connected
 from .schedules import TimeVaryingMatrix, support_pattern
 
@@ -208,8 +208,8 @@ class ConvergenceTrace:
     rate: float | None
 
     def write_csv(self, path) -> None:
-        write_csv_rows(path, "t,delta",
-                       (f"{t!r},{d!r}\r\n" for t, d in zip(self.elapsed, self.deviation)))
+        with csv_file(path, "t,delta") as fh:
+            fh.writelines(f"{t!r},{d!r}\r\n" for t, d in zip(self.elapsed, self.deviation))
 
 
 def convergence_diagnostic(

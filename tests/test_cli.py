@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import flownet
 import helpers
@@ -333,9 +339,15 @@ def _limit_memory():
     (["period", "--samples", "0"], 2, "--samples"),
     (["converge", "--samples", "1000001"], 2, "--samples"),
     (["converge", "--tau", "1", "--samples", "0"], 2, "--samples"),
+    (["simulate", "--t-end", "2", "--out", "/nonexistent/x.csv"], 2,
+     "error: /nonexistent/x.csv: No such file or directory"),
+    (["converge", "--horizon", "3", "--out", "/"], 2, "error: /: Is a directory"),
+    (["period", "--out", "/nonexistent/x.json"], 2,
+     "error: /nonexistent/x.json: No such file or directory"),
+    (["validate", "--out", "/"], 2, "error: /: Is a directory"),
 ])
 def test_degenerate_arguments_fail_in_one_line(tmp_path, argv, code, needle):
-    if argv[0] in ("simulate", "converge"):
+    if argv[0] in ("simulate", "converge") and "--out" not in argv:
         argv = argv + ["--out", "out.csv"]
     done = run_process(argv + ["--scenario", "example1"], tmp_path)
     assert done.returncode == code, done.stderr
@@ -368,11 +380,16 @@ _BIG = "1" + "0" * 300
      "/weights: weight (1,1): 'cos(1000000000 * pi * t)^2 * 0 + 1' has a sin/cos with more "
      "than 4096 quarter-period points"),
     ("/graph/n", 10 ** 400, "/graph/n"),
+    ("/graph/edges", [[True, 2], [2, 1]], "/graph/edges/0"),
+    ("/weights/١,١", "1", "key '١,١' must hold two integers"),
+    ("/weights/+1,1", "1", "key '+1,1' must hold two integers"),
+    ("/initial/1", {"breaks": [0, 10 ** 400], "values": [1]}, "/initial/1"),
 ], ids=["n-string", "n-null", "n-fraction", "stochastic-string", "breaks-list", "weight-superscript",
         "weight-power-overflow", "initial-power-overflow", "weight-constant-divisor-zero",
         "weight-infinite-intercept", "weight-slope-past-2**49",
         "weight-400-parentheses", "weight-5000-term-sum", "weight-2000-minus-signs",
-        "weight-huge-intercept", "weight-huge-slope", "n-huge"])
+        "weight-huge-intercept", "weight-huge-slope", "n-huge", "edge-true",
+        "weight-key-arabic-indic", "weight-key-plus", "breaks-huge"])
 def test_malformed_scenario_fails_in_one_line(tmp_path, pointer, value, needle):
     doc = helpers.set_at(helpers.base_flow_scenario(), pointer, value)
     helpers.write_scenario(tmp_path, doc)
@@ -381,6 +398,142 @@ def test_malformed_scenario_fails_in_one_line(tmp_path, pointer, value, needle):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
     assert needle in done.stderr
+
+
+# Mutations of the bundled scenarios. A mutation replaces one member with a
+# JSON text fragment, through a sentinel string, so that nesting can go
+# deeper than json.dumps would write.
+_BUNDLED = {name: json.loads(Path(flownet.bundled_scenario_path(name)).read_text())
+            for name in ("example1", "example2", "junction")}
+_SENTINEL = "\x00mutation %d\x00"
+_DIGITS = (0x660, 0x966, 0xFF10, 0x1D7CE)  # Arabic-Indic, Devanagari, fullwidth, bold zero
+_SUPERSCRIPTS = "⁰¹²³⁴⁵⁶⁷⁸⁹"
+
+
+def _set(doc, pointer, value):
+    """Replace the member of doc at a JSON pointer such as /graph/edges/0."""
+    *outer, last = pointer.split("/")[1:]
+    for part in outer:
+        doc = doc[int(part)] if isinstance(doc, list) else doc[part]
+    doc[int(last) if isinstance(doc, list) else last] = value
+
+
+def _text(doc, fragments):
+    """doc as JSON text, with the i-th sentinel in it replaced by fragments[i - 1]."""
+    text = json.dumps(doc)
+    for i in range(len(fragments), 0, -1):  # a later fragment may hold an earlier sentinel
+        text = text.replace(json.dumps(_SENTINEL % i), fragments[i - 1])
+    return text
+
+
+def _foreign_digits(value, digits):
+    text = json.dumps(value) if not isinstance(value, str) else value
+    return "".join(digits[int(c)] if c.isascii() and c.isdigit() else c for c in text)
+
+
+@st.composite
+def _fragments(draw, old):
+    """One JSON fragment to put in place of the value old."""
+    kind = draw(st.sampled_from(["type", "int", "float", "nest", "digits", "trig"]))
+    if kind == "type":
+        value = draw(st.sampled_from([None, True, False, 0, -1, 0.5, "", "x", "1", [], {},
+                                      [old], {"a": old}, json.dumps(old)]))
+        return json.dumps(value)
+    if kind == "int":
+        return str(draw(st.sampled_from([2 ** 53 + 1, 2 ** 63, 2 ** 64, -2 ** 63, 10 ** 20,
+                                         10 ** 400, -10 ** 400])))
+    if kind == "float":
+        return draw(st.sampled_from(["1e308", "-1e308", "1.7976931348623157e308", "1e400",
+                                     "-1e400", "5e-324", "Infinity", "-Infinity", "NaN"]))
+    if kind == "nest":
+        depth = draw(st.sampled_from([63, 64, 65, 999, 5000, 100000]))
+        opening, inner, closing, expression = draw(st.sampled_from([
+            ("[", "1", "]", False), ('{"a": ', "1", "}", False), ("(", "1", ")", True),
+            ("sin(", "pi*t", ")", True), ("-", "1", "", True), ("1", "", "+1", True),
+        ]))
+        text = opening * depth + inner + closing * depth
+        return json.dumps(text) if expression else text
+    if kind == "digits":
+        zero = draw(st.sampled_from(_DIGITS))
+        digits = draw(st.sampled_from([[chr(zero + d) for d in range(10)], list(_SUPERSCRIPTS)]))
+        if isinstance(old, dict):
+            return json.dumps({_foreign_digits(k, digits): v for k, v in old.items()})
+        return json.dumps(_foreign_digits(old, digits))
+    slope = draw(st.sampled_from(["2047", "2048", "2049", str(2 ** 49 - 1), str(2 ** 49),
+                                  "10^20", "1e300", "2^1000"]))
+    intercept = draw(st.sampled_from(["0", "1e15", "2^49*pi", "1e300", "-2^60", "10^400"]))
+    argument = f"{slope}*pi*t + {intercept}"
+    if isinstance(old, str) and "pi*t" in old:
+        return json.dumps(old.replace("pi*t", argument))
+    return json.dumps(f"0.5 + 0.5*cos({argument})^2")
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """(JSON text of a bundled scenario with one to three mutations, command)."""
+    doc = copy.deepcopy(_BUNDLED[draw(st.sampled_from(sorted(_BUNDLED)))])
+    fragments = []
+    for _ in range(draw(st.integers(1, 3))):
+        # a walk from the root that stops at each member below it with
+        # chance 1/3, so that every field is as likely as the edge list
+        pointer, node = "", doc
+        while isinstance(node, (dict, list)) and node and (not pointer or draw(st.integers(0, 2))):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            pointer, node = f"{pointer}/{key}", node[key]
+        fragments.append(draw(_fragments(node)))
+        _set(doc, pointer, _SENTINEL % len(fragments))
+    return _text(doc, fragments), draw(st.sampled_from(_FUZZ_COMMANDS))
+
+
+_FUZZ_COMMANDS = [
+    ("validate",),
+    ("period", "--samples", "8"),
+    ("simulate", "--grid", "16", "--t-end", "2.5", "--out", "field.csv"),
+    ("converge", "--grid", "16", "--tau", "1", "--horizon", "3", "--out", "trace.csv"),
+]
+
+
+def _outcome_is_one_line(code, err):
+    """Exit 0, 1 or 2, and stderr empty or one `error:` line (always one for 2, none for 0)."""
+    lines = err.splitlines(keepends=True)
+    assert code in (0, 1, 2), (code, err)
+    assert all(line.startswith("error: ") for line in lines) and len(lines) <= 1, err
+    assert code != 0 or not lines, err
+    assert code != 2 or lines, err
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_mutated_scenarios())
+@example(("[" * 100000 + "]" * 100000, ("validate",)))
+@example(('{"graph": ' + '{"a": ' * 5000 + "1" + "}" * 5000 + "}", ("validate",)))
+def test_mutated_bundled_scenarios_fail_in_at_most_one_line(tmp_path_factory, case):
+    text, command = case
+    work = tmp_path_factory.mktemp("mutated")
+    (work / "scenario.json").write_text(text)
+    argv = [a if not a.endswith(".csv") else str(work / a) for a in command]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv + ["--scenario", str(work / "scenario.json")])
+    _outcome_is_one_line(code, err.getvalue())
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("pointer,fragment,command", [
+    ("/graph", "[" * 100000 + "]" * 100000, _FUZZ_COMMANDS[0]),
+    ("/weights/4,4", '"0.25 + 0.5*cos(2049*pi*t + 2^49*pi)^2"', _FUZZ_COMMANDS[1]),
+    ("/N", "1e400", _FUZZ_COMMANDS[2]),
+    ("/initial/2", '"' + "sin(" * 5000 + "x" + ")" * 5000 + '"', _FUZZ_COMMANDS[2]),
+    ("/weights", json.dumps({"٤,٤": "1"}), _FUZZ_COMMANDS[3]),
+], ids=["graph-nested-100000", "trig-slope-2049", "N-1e400", "initial-sin-5000", "weights-arabic-key"])
+def test_mutated_scenario_in_a_process_fails_in_at_most_one_line(tmp_path, pointer, fragment,
+                                                                  command):
+    doc = copy.deepcopy(_BUNDLED["example1"])
+    _set(doc, pointer, _SENTINEL % 1)
+    (tmp_path / "scenario.json").write_text(_text(doc, [fragment]))
+    done = run_process(list(command) + ["--scenario", "scenario.json"], tmp_path)
+    _outcome_is_one_line(done.returncode, done.stderr)
 
 
 @pytest.mark.parametrize("command", [["validate"], ["simulate", "--t-end", "2", "--out", "o.csv"]])

@@ -1,9 +1,12 @@
 import csv
+import os
 
 import numpy as np
 import pytest
 
-from flownet import EdgeDensityField, convergence_diagnostic, load_scenario, propagate
+import helpers
+from flownet import (EdgeDensityField, EvolutionError, cli, convergence_diagnostic,
+                     evolution, load_scenario, propagate)
 from flownet.spectral import ConvergenceTrace
 
 
@@ -62,3 +65,108 @@ def test_convergence_csv_matches_csv_writer(name, tau, tmp_path):
     trace = convergence_diagnostic(sc.matrix, sc.initial, sc.start_time, tau, horizon=12.0,
                                    N=200, stride=0.5)
     assert_same_bytes(trace, csv_writer_trace, tmp_path)
+
+
+def affinity(monkeypatch, cpus: int) -> None:
+    """Make the process's affinity mask hold cpus CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def count_forks(monkeypatch) -> list[int]:
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left(pid: int) -> None:
+    assert os.getpid() == pid  # no child returned into the caller
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_far_field_csv_bytes_do_not_depend_on_the_blocks(tmp_path, monkeypatch):
+    # the 24-edge ring of perfbench's field-far workload, at its N and t
+    doc = helpers.load_perfbench("gen").ring_scenario(1, 8)
+    sc = load_scenario(helpers.write_scenario(tmp_path, doc))
+    field = propagate(sc.matrix, sc.initial, sc.start_time, 1000.5, 20000)
+    assert field.values.shape == (24, 20000)
+    field.write_csv(tmp_path / "native.csv")
+    with monkeypatch.context() as patch:
+        affinity(patch, 1)
+        forks = count_forks(patch)
+        field.write_csv(tmp_path / "one-block.csv")
+    assert forks == []
+    assert (tmp_path / "native.csv").read_bytes() == (tmp_path / "one-block.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 4])
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_field_csv_in_blocks_matches_csv_writer(m, cpus, tmp_path, monkeypatch):
+    # more CPUs than edges, and uneven cuts: 5 edges in 3 blocks are 1 + 2 + 2
+    values = np.asarray([np.roll(EXTREMES, j) for j in range(m)])
+    field = EdgeDensityField(values=values, resolution=len(EXTREMES), time=2.5, origin=0.5)
+    affinity(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    pid = os.getpid()
+    assert_same_bytes(field, csv_writer_field, tmp_path)
+    assert len(forks) == min(cpus, m) - 1
+    assert_no_child_left(pid)
+
+
+def test_without_fork_or_affinity_mask_the_field_is_one_block(tmp_path, monkeypatch):
+    field = EdgeDensityField(values=np.asarray([EXTREMES] * 3), resolution=len(EXTREMES),
+                             time=1.0, origin=0.0)
+    monkeypatch.delattr(os, "fork")
+    assert_same_bytes(field, csv_writer_field, tmp_path)
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    forks = count_forks(monkeypatch)
+    assert_same_bytes(field, csv_writer_field, tmp_path)
+    assert forks == []
+
+
+def failing_rows(where: str):
+    """_field_rows that raises in the block a child formats, or in the parent's."""
+    rows = evolution._field_rows
+
+    def patched(template, values, first_edge):
+        if (first_edge > 1) == (where == "child"):
+            raise ZeroDivisionError(f"formatting edge {first_edge}")
+        return rows(template, values, first_edge)
+
+    return patched
+
+
+def test_a_failing_child_raises_and_leaves_no_child(tmp_path, monkeypatch):
+    field = EdgeDensityField(values=np.asarray([EXTREMES] * 4), resolution=len(EXTREMES),
+                             time=1.0, origin=0.0)
+    affinity(monkeypatch, 2)
+    pid = os.getpid()
+    monkeypatch.setattr(evolution, "_field_rows", failing_rows("child"))
+    with pytest.raises(EvolutionError, match=r"edges 3\.\.4 failed in a child process"):
+        field.write_csv(tmp_path / "field.csv")
+    assert_no_child_left(pid)
+    monkeypatch.setattr(evolution, "_field_rows", failing_rows("parent"))
+    with pytest.raises(ZeroDivisionError, match="formatting edge 1"):
+        field.write_csv(tmp_path / "field.csv")
+    assert_no_child_left(pid)
+
+
+def test_a_failing_child_is_one_error_line_of_the_cli(tmp_path, monkeypatch, capsys):
+    affinity(monkeypatch, 2)
+    monkeypatch.setattr(evolution, "_field_rows", failing_rows("child"))
+    pid = os.getpid()
+    code = cli.main(["simulate", "--scenario", "example1", "--t-end", "2.5",
+                     "--out", str(tmp_path / "field.csv")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: formatting the CSV rows of edges 4..6") and err.count("\n") == 1
+    assert_no_child_left(pid)

@@ -95,6 +95,16 @@ def test_evaluation_error_in_a_junction_entry_carries_its_pointer(source, needle
     assert err.value.pointer == "/junctions/0/matrix/1/0" and needle in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["in", "out"])
+@pytest.mark.parametrize("edge", [None, "3", 1.5, True, [3]])
+def test_junction_edges_must_be_integers(key, edge):
+    doc = json.loads(bundled_scenario_path("junction").read_text())
+    doc["junctions"][0][key][0] = edge
+    with pytest.raises(ScenarioError, match="must be a nonempty list of edge numbers") as err:
+        scenario_from_dict(doc)
+    assert err.value.pointer == f"/junctions/0/{key}"
+
+
 def test_a_divisor_that_vanishes_off_the_grid_still_loads(tmp_path):
     # load evaluates on no points, and the midpoint grid never reaches x = 0
     doc = helpers.base_flow_scenario()
@@ -275,6 +285,18 @@ def test_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ScenarioError, match="JSON"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{",
+    b"[" * 100000 + b"]" * 100000,  # deeper than the JSON decoder recurses
+    b'{"graph": ' + b'{"a": ' * 5000 + b"1" + b"}" * 5001,
+], ids=["not-utf-8", "list-100000-deep", "object-5000-deep"])
+def test_undecodable_or_too_deep_json_rejected(tmp_path, data):
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    with pytest.raises(ScenarioError, match="not valid JSON"):
         load_scenario(path)
 
 
