@@ -55,12 +55,13 @@ gap of n periods to k crossings heads the chain anew through propagate when
 n > (bit_length(k) - 1) * m + popcount(k), the closed form's cost in mat-vecs.
 
 A field's CSV is formatted on every CPU of the process's affinity mask: its
-edges are cut into contiguous blocks, one per CPU and at most one per edge,
-and each block after the first is formatted by a forked child into a
-temporary file that the parent appends after its own block. Where the mask
-or os.fork is not available there is one block and no fork. The bytes are
-the same for every cut, and no option selects it. Formatting is nearly all
-float repr, which no serial rewrite shortens.
+edges are cut into contiguous blocks, one per CPU, at most one per edge and
+at most one per _BLOCK_VALUES values, and each block after the first is
+formatted by a forked child into a temporary file that the parent appends
+after its own block. A smaller field, or one where the mask or os.fork is
+not available, is one block and forks nothing. The bytes are the same for
+every cut, and no option selects it. Formatting is nearly all float repr,
+which no serial rewrite shortens.
 """
 
 from __future__ import annotations
@@ -84,6 +85,12 @@ from .schedules import TimeVaryingMatrix
 _CHUNK_BYTES = 2 << 20
 # Beyond this t - s, x + t - s no longer tells the grid points apart.
 _MAX_SPAN = 2.0 ** 53
+# Fewest values in one block of a field's CSV. Below about 2^15 values (some
+# 30 ms of formatting) a fork and its temporary file cost more than the
+# second block saves: on a 2-vCPU machine a 24-edge field of 24,000 values
+# took as long in two blocks as in one, and 72,000 values took 0.7 times
+# as long.
+_BLOCK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -162,13 +169,20 @@ class EdgeDensityField:
         and leaves through os._exit, so it flushes no inherited buffer and
         never returns to the caller. The parent formats the first block into
         the file, waits for every child in order, and appends their files.
-        A child that fails makes it raise EvolutionError.
+        A child that fails makes it raise EvolutionError with the child's
+        reason.
+
+        The fork is safe although BLAS may have started threads: the child
+        only converts values with tolist, formats strings and writes a file
+        no other process or thread uses, so it takes no lock another thread
+        could hold. (Python 3.12 and later warn at any fork of a process with
+        threads, with a DeprecationWarning, which is not shown by default.)
         """
         # One row template per grid point, joined by the edge number; %r is
         # repr, and neither the x nor the tail fields can hold a %.
         tail = f",{self.time!r},{self.origin!r}\r\n"
         template = [""] + [f",{x!r},%r{tail}" for x in self.grid().tolist()]
-        cuts = _blocks(len(self.values))
+        cuts = _blocks(*self.values.shape)
         with csv_file(path, "edge,x,value,t,s") as fh, contextlib.ExitStack() as parts:
             children = []
             try:
@@ -176,11 +190,13 @@ class EdgeDensityField:
                     part = parts.enter_context(tempfile.TemporaryFile("w+", newline=""))
                     pid = os.fork()
                     if pid == 0:  # the child formats rows only and calls no BLAS
-                        status = 1
+                        status = 2
                         try:
                             part.writelines(_field_rows(template, self.values[lo:hi], lo + 1))
                             part.flush()
                             status = 0
+                        except BaseException as exc:
+                            status = _leave_reason(part, exc)
                         finally:
                             os._exit(status)
                     children.append((pid, lo, hi, part))
@@ -191,8 +207,10 @@ class EdgeDensityField:
             fh.flush()  # the parts' bytes go to the file's buffer, after it
             for code, (_, lo, hi, part) in zip(codes, children):
                 if code:
+                    reason = (os.pread(part.fileno(), 1 << 12, 0).decode(errors="replace")
+                              if code == 1 else f"status {code}")
                     raise EvolutionError(f"formatting the CSV rows of edges {lo + 1}..{hi} "
-                                         f"failed in a child process (status {code})")
+                                         f"failed in a child process: {reason}")
                 part.seek(0)
                 shutil.copyfileobj(part.buffer, fh.buffer)
 
@@ -203,13 +221,25 @@ def _field_rows(template: list[str], values: np.ndarray, first_edge: int) -> Ite
             for j, row in enumerate(values, start=first_edge))
 
 
-def _blocks(m: int) -> list[int]:
-    """Cuts 0 = c_0 <= ... <= c_b = m of m edges into b near-equal blocks: one
-    per CPU of the affinity mask, at most m, and one where the mask or
-    os.fork is not available."""
+def _leave_reason(part: TextIO, exc: BaseException) -> int:
+    """A failed child's exit status: 1 with the text of exc in place of its
+    rows, or 2 where its file refuses the text."""
+    try:
+        os.ftruncate(part.fileno(), 0)
+        os.pwrite(part.fileno(), f"{type(exc).__name__}: {exc}".encode(errors="replace"), 0)
+        return 1
+    except OSError:
+        return 2
+
+
+def _blocks(m: int, n: int) -> list[int]:
+    """Cuts 0 = c_0 <= ... <= c_b = m of m edges of n values each into b
+    near-equal blocks: one per CPU of the affinity mask, at most m and at
+    most m n / _BLOCK_VALUES, and one where the mask or os.fork is not
+    available."""
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
-    b = max(1, min(cpus, m))
+    b = max(1, min(cpus, m, m * n // _BLOCK_VALUES))
     return [m * i // b for i in range(b + 1)]
 
 
