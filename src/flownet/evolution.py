@@ -21,15 +21,13 @@ points above the grid's least exponent k0 - 1, and binary powering on the
 vector with bit_length(k0 - 1) - 1 squarings (n'^3) and popcount(k0 - 1)
 mat-vecs (n'^2); and last u = W z, m products, as W has one entry per row.
 Where t - s < 1 some points cross once and some not at all (k0 = 0):
-those take W H f and these keep f.
+those take W H f and these keep f. Where no point crosses more than once,
+no product is taken on C and its stack is not built.
 
-Three things stay in edge space. An allocation schedule has no factor
-pair: it takes the extra mat-vecs and binary powering to A^k0 on A itself,
-bit_length(k0) - 1 squarings of m x m, so its outputs stay bitwise those of
-that one path. propagate_many's chain advances multiply by the m x m A: one
-mat-vec per period gains little on a graph with n' near m, and a vertex
-cost in its restart rule would change which times head a chain.
-boundary_residual multiplies by A(t) once.
+An allocation schedule has no factor pair: it takes the extra mat-vecs and
+binary powering to A^k0 on A itself, bit_length(k0) - 1 squarings of m x m,
+so its outputs stay bitwise those of that one path. boundary_residual
+multiplies by A(t) once.
 
 The grid is powered in chunks. The schedule table (one column per distinct
 expression, N x d values) is evaluated once for the whole grid; each chunk
@@ -50,9 +48,12 @@ propagate_many groups its times into chains: a time joins a chain only when
 its grid phases and its data points xi = x + t - s - k are bitwise equal to
 the chain's, which are exactly the arrays the closed form would use. The
 first time of a chain is evaluated by propagate; every later one advances
-the chain's state, at a cost of one mat-vec per grid point per period. A
-gap of n periods to k crossings heads the chain anew through propagate when
-n > (bit_length(k) - 1) * m + popcount(k), the closed form's cost in mat-vecs.
+the chain's state by one pass over A's nonzeros per period (_advance), for
+both kinds of schedule, bitwise the dense mat-vec for a finite state. The
+chain keeps the values of M's layers on its phases, nnz(M) per grid point.
+A gap of n periods to k crossings costs n nnz(M) multiply-adds per point;
+the time heads the chain anew through propagate when the closed form's
+powering costs less (_power_cost).
 
 A field's CSV is formatted on every CPU of the process's affinity mask: its
 edges are cut into contiguous blocks, one per CPU, at most one per edge and
@@ -265,7 +266,8 @@ def _characteristics(xs: np.ndarray, s: float, t: float):
                              "resolves the grid")
     z = xs + (t - s)
     ks = np.floor(z).astype(np.int64)
-    return np.mod(t + xs, 1.0), ks, z - ks
+    y = t + xs
+    return y - np.floor(y), ks, z - ks  # y - floor(y) is np.mod(y, 1.0) for finite y
 
 
 def _evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, xs: np.ndarray) -> np.ndarray:
@@ -305,8 +307,9 @@ def _evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, xs: np.nda
     for lo in range(0, len(xs), step):
         hi = lo + step
         w = factors.weights(table[lo:hi])
-        z = _power_chunk(factors.transfer(w), factors.collect(out[:, lo:hi]),
-                         ks[lo:hi] - 1, c0, kmax - 1)
+        # no point takes a product on C when none crosses twice (c0 = 0 then)
+        z = _power_chunk(factors.transfer(w) if kmax > 1 else None,
+                         factors.collect(out[:, lo:hi]), ks[lo:hi] - 1, c0, kmax - 1)
         u = w.T * z[factors.tails]  # W z, one entry per row
         result[:, lo:hi] = u if k0 else np.where(crossed[lo:hi], u, out[:, lo:hi])
     return result
@@ -342,15 +345,54 @@ def propagate(
     return EdgeDensityField(values=values, resolution=N, time=float(t), origin=float(s))
 
 
+def _power_cost(M: TimeVaryingMatrix, k: int) -> int:
+    """Multiply-adds per grid point of the closed form's powering to k crossings:
+    bit_length(k') - 1 squarings (n^3 each) and popcount(k') mat-vecs (n^2
+    each), on the m x m A to k' = k or, for a flow schedule, on the n' x n' C
+    to k' = k - 1."""
+    factors = M.vertex_factors
+    n, k = (M.dim, k) if factors is None else (factors.n, k - 1)
+    return max(0, k.bit_length() - 1) * n ** 3 + k.bit_count() * n ** 2
+
+
+def _layer_weights(M: TimeVaryingMatrix, phases: np.ndarray) -> list[np.ndarray]:
+    """The values of each of M.layers on the phases, one (rows, N) array each."""
+    table = M.table(phases).T
+    return [table[j] for _, _, j in M.layers]
+
+
+def _advance(M: TimeVaryingMatrix, weights: list[np.ndarray], u: np.ndarray) -> np.ndarray:
+    """A u on each grid point over A's nonzeros, for the state u, shape (m, N),
+    and the _layer_weights of A's phases.
+
+    Each row adds its products in column order, as the dense
+    einsum("jir,jr->ir") on A's (m, m, N) stack does from +0; the products of
+    A's zeros that the einsum adds are +0 or -0 for a finite u and leave its
+    sums alone. So the result is bitwise the einsum's, C-ordered like it, once
+    a last + 0.0 has turned any -0 sum into the einsum's +0."""
+    layers = M.layers
+    out = None if layers and len(layers[0][0]) == len(u) else np.zeros(u.shape)
+    for (rows, cols, _), w in zip(layers, weights):
+        p = u[cols]
+        p *= w
+        if out is None:  # layer 0 holds every row, in order
+            out = p
+        elif len(rows) == len(u):
+            out += p
+        else:
+            out[rows] += p
+    out += 0.0
+    return out
+
+
 @dataclass
 class _Chain:
     """Running state of the times that share one phase and data-point array."""
 
     k: int  # crossings of the state at grid point 0
     values: np.ndarray
-    # The one-period stack A as columns[j, i, r] = A(phase_r)[i, j]: the
-    # layout in which one mat-vec per grid point streams contiguously.
-    columns: np.ndarray | None = None
+    # The table values of each of M.layers at the chain's phases, (rows, N).
+    weights: list[np.ndarray] | None = None
 
 
 def propagate_many(
@@ -359,9 +401,9 @@ def propagate_many(
     """The fields propagate would give at each of the non-decreasing times, in order.
 
     Times are grouped into chains of bitwise-equal grid phases and data points
-    (see the module docstring); a chain's state and one-period stack are
-    dropped right after its last time, so memory is bounded by the chains
-    that are still open. Each yielded field owns its values.
+    (see the module docstring); a chain's state and layer values are dropped
+    right after its last time, so memory is bounded by the chains that are
+    still open. Each yielded field owns its values.
     """
     if N < 1:
         raise EvolutionError(f"resolution must be at least 1, got {N}")
@@ -372,14 +414,16 @@ def propagate_many(
         raise EvolutionError(f"query time {times[0]} precedes start time {s}")
     xs = midpoints(N)
     # First pass: the chain of each time, keyed by a SHA-256 digest of its
-    # phase and data-point arrays; the crossings at grid point 0 (within a
+    # phases, and of its data points where they are not bitwise the phases
+    # (they always are for s = 0); the crossings at grid point 0 (within a
     # chain every point crosses equally often); each chain's last use.
     plan = []
     last_use = {}
     for i, t in enumerate(times):
         phases, ks, xi = _characteristics(xs, s, t)
         h = hashlib.sha256(phases)
-        h.update(xi)
+        if not np.array_equal(phases.view(np.int64), xi.view(np.int64)):
+            h.update(xi)
         key = h.digest()
         plan.append((key, int(ks[0])))
         last_use[key] = i
@@ -390,10 +434,10 @@ def propagate_many(
             last = last_use[key] == i
             chain = chains.get(key)
             n = 0 if chain is None else k - chain.k
-            # n mat-vecs (m^2 each) unless the closed form's bit_length(k) - 1
-            # squarings (m^3 each) and popcount(k) mat-vecs multiply less; then
-            # the time heads the chain anew. A repeated time reuses the state.
-            if chain is None or n > max(0, k.bit_length() - 1) * M.dim + k.bit_count():
+            # n advances over A's nonzeros, unless the closed form's powering
+            # multiplies less; then the time heads the chain anew. A repeated
+            # time reuses the state.
+            if chain is None or n * len(M.entries) > _power_cost(M, k):
                 field = propagate(M, f, s, t, N)
                 if last:
                     chains.pop(key, None)
@@ -404,11 +448,10 @@ def propagate_many(
                 yield field
                 continue
             if n:
-                if chain.columns is None:
-                    stack = M.at_times(_characteristics(xs, s, t)[0])
-                    chain.columns = np.ascontiguousarray(stack.transpose(2, 1, 0))
+                if chain.weights is None:
+                    chain.weights = _layer_weights(M, _characteristics(xs, s, t)[0])
                 for _ in range(n):
-                    chain.values = np.einsum("jir,jr->ir", chain.columns, chain.values)
+                    chain.values = _advance(M, chain.weights, chain.values)
                 chain.k = k
             if last:
                 del chains[key]

@@ -79,10 +79,11 @@ def _tokenize(source: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdecimal() or c == ".":
+        # ASCII digits only: float() would also read any other decimal digit
+        if "0" <= c <= "9" or c == ".":
             j = i
             seen_dot = False
-            while j < n and (source[j].isdecimal() or (source[j] == "." and not seen_dot)):
+            while j < n and ("0" <= source[j] <= "9" or (source[j] == "." and not seen_dot)):
                 if source[j] == ".":
                     seen_dot = True
                 j += 1

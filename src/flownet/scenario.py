@@ -32,9 +32,9 @@ import numpy as np
 
 from . import expr as ex
 from .errors import (
+    EvolutionError,
     ExprEvalError,
     ExprSyntaxError,
-    FlownetError,
     GraphError,
     ScenarioError,
     ScheduleError,
@@ -94,11 +94,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _scalar(doc: dict, key: str, pointer: str, default, integer: bool = False,
+def _scalar(doc: dict, key: str, pointer: str, default, **bounds):
+    """doc[key], or default if absent, read by _number."""
+    return _number(doc.get(key, default), repr(key), pointer, **bounds)
+
+
+def _number(value, name: str, pointer: str, integer: bool = False,
             low: float = -math.inf, strict: bool = False, high: float = math.inf):
-    """doc[key], or default if absent: a JSON integer, or a finite number read as
-    a float, at least low (above low if strict), at most high. Else a ScenarioError at pointer."""
-    value = doc.get(key, default)
+    """value as a JSON integer, or a finite number read as a float, at least low
+    (above low if strict), at most high. Else a ScenarioError at pointer."""
     ok = _is_int(value) or not integer and isinstance(value, float)
     if ok and not integer:
         try:
@@ -109,7 +113,7 @@ def _scalar(doc: dict, key: str, pointer: str, default, integer: bool = False,
     ok = ok and (value > low if strict else value >= low) and value <= high
     bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low}"
     bound += "" if high == math.inf else f" and <= {high}"
-    _require(ok, f"{key!r} must be {'an integer' if integer else 'a finite number'}{bound}", pointer)
+    _require(ok, f"{name} must be {'an integer' if integer else 'a finite number'}{bound}", pointer)
     return value
 
 
@@ -276,12 +280,11 @@ def _initial_data(g: NetworkGraph, initial_doc) -> InitialData:
             values = spec.get("values")
             _require(isinstance(breaks, list) and isinstance(values, list),
                      "piecewise profile needs 'breaks' and 'values' lists", pointer)
-            try:
-                profiles.append(
-                    PiecewiseProfile(tuple(float(b) for b in breaks),
-                                     tuple(float(v) for v in values))
-                )
-            except (FlownetError, ValueError, TypeError, OverflowError) as err:
+            try:  # each number, then their order, at the profile's pointer
+                profiles.append(PiecewiseProfile(
+                    tuple(_number(b, f"breaks[{i}]", pointer) for i, b in enumerate(breaks)),
+                    tuple(_number(v, f"values[{i}]", pointer) for i, v in enumerate(values))))
+            except EvolutionError as err:
                 raise ScenarioError(str(err), pointer) from err
         else:
             raise ScenarioError("initial density must be an expression string or "

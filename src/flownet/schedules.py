@@ -14,7 +14,8 @@ Entries must be 1-periodic in time, because the solver reads the schedule at
 expr.is_periodic_in_time cannot prove 1-periodic, or that has a sin/cos with
 more quarter-period points than the support survey samples; it keeps the
 quarter-period times it found. Its table holds each distinct expression once on
-a time grid; scatter spreads a table into dense stacks. Both kinds must be
+a time grid; scatter spreads a table into dense stacks, and layers lists the
+entries row by row for products over the nonzeros. Both kinds must be
 column-stochastic for mass conservation: validators check tables.
 
 A flow schedule also factors through the vertices, as the paper's
@@ -164,6 +165,19 @@ class TimeVaryingMatrix:
             cols.append(l - 1)
         return tuple((e, np.array(rows), np.array(cols)) for e, (rows, cols) in where.items())
 
+    @cached_property
+    def _cells(self) -> list[tuple[int, int, int]]:
+        """(row, column, table column) of every entry, in (row, column) order."""
+        return sorted((k, l, j) for j, (_, rows, cols) in enumerate(self._scatter)
+                      for k, l in zip(rows.tolist(), cols.tolist()))
+
+    @cached_property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The nonzeros as (rows, columns, table columns) layers: layer L holds
+        the L-th entry, by column, of each row that has that many."""
+        return tuple((rows, cells[:, 0], cells[:, 1]) for rows, cells in
+                     _layers([k for k, _, _ in self._cells], [c[1:] for c in self._cells]))
+
     def at(self, t: float) -> np.ndarray:
         """Dense value at one time."""
         return self.at_times([t])[0]
@@ -198,15 +212,13 @@ class TimeVaryingMatrix:
         assembly makes."""
         if self.kind != FLOW:
             return None
-        cells = [(k, l, j) for j, (_, rows, cols) in enumerate(self._scatter)
-                 for k, l in zip(rows.tolist(), cols.tolist())]
         column: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-        for k, l, j in cells:
+        for k, l, j in self._cells:
             column[l].append((k, j))
         classes: dict[tuple, int] = {}
         heads = [classes.setdefault(tuple(sorted(c)), len(classes)) for c in column]
         row: list[set[tuple[int, int]]] = [set() for _ in range(self.dim)]
-        for k, l, j in cells:
+        for k, l, j in self._cells:
             row[k].add((heads[l], j))
         if any(len(r) > 1 for r in row):
             return None
@@ -402,8 +414,7 @@ def validate_stochastic(M: TimeVaryingMatrix, grid, tol: float) -> ValidationRep
 
     # from zero in (row, column) order, as a dense sum over rows adds them
     sums = np.zeros((len(grid), M.dim))
-    for _, l, j in sorted((k, l, j) for j, (_, rows, cols) in enumerate(M._scatter)
-                          for k, l in zip(rows.tolist(), cols.tolist())):
+    for _, l, j in M._cells:
         sums[:, l] += table[:, j]
     dev = np.abs(sums - 1.0)
     g_idx, l_idx = np.unravel_index(np.argmax(dev), dev.shape)

@@ -226,9 +226,10 @@ def convergence_diagnostic(
     delta(t) is the total integrated absolute difference between the states
     at times t and t + tau, both propagated from the same initial data. The
     asymptotics predict delta -> 0 exponentially when tau is the true period,
-    at rate max over phases phi of |lambda_2(A(phi))|, the subdominant
-    eigenvalue modulus of the schedule; that rate is not computed here, and
-    the fitted log-linear rate is reported as evidence, never asserted.
+    at a rate set by the largest eigenvalue modulus of A(phi) below its
+    peripheral ones, the maximum over phases phi: not |lambda_2|, which is 1
+    for a phase of cyclic index h >= 2 (example2). That rate is not computed
+    here; the fitted log-linear rate is reported as evidence, never asserted.
 
     The states stream from propagate_many in time order; a state is kept only
     while its t + tau partner is still to come.

@@ -274,6 +274,14 @@ def edge_space_evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, 
     return result
 
 
+def dense_advance(M: TimeVaryingMatrix, phases: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One period of a propagate_many chain at the grid phases as the einsum on
+    A's dense (m, m, N) stack, as chains advanced before they went over A's
+    nonzeros: the oracle for evolution._advance."""
+    columns = np.ascontiguousarray(M.at_times(phases).transpose(2, 1, 0))
+    return np.einsum("jir,jr->ir", columns, u)
+
+
 def chunk_points(M: TimeVaryingMatrix) -> int:
     """Points per chunk of _evolve on M: its stacks fill at most _CHUNK_BYTES."""
     if M.vertex_factors is None:

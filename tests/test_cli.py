@@ -384,12 +384,17 @@ _BIG = "1" + "0" * 300
     ("/weights/١,١", "1", "key '١,١' must hold two integers"),
     ("/weights/+1,1", "1", "key '+1,1' must hold two integers"),
     ("/initial/1", {"breaks": [0, 10 ** 400], "values": [1]}, "/initial/1"),
+    ("/initial/1", {"breaks": ["0", True], "values": ["2"]},
+     "/initial/1: breaks[0] must be a finite number"),
+    ("/weights/1,1", "٠.٥ + ٠.٥*cos(pi*t)^٢", "/weights/1,1: bad expression "
+     "'٠.٥ + ٠.٥*cos(pi*t)^٢': unknown character '٠' (offset 0)"),
 ], ids=["n-string", "n-null", "n-fraction", "stochastic-string", "breaks-list", "weight-superscript",
         "weight-power-overflow", "initial-power-overflow", "weight-constant-divisor-zero",
         "weight-infinite-intercept", "weight-slope-past-2**49",
         "weight-400-parentheses", "weight-5000-term-sum", "weight-2000-minus-signs",
         "weight-huge-intercept", "weight-huge-slope", "n-huge", "edge-true",
-        "weight-key-arabic-indic", "weight-key-plus", "breaks-huge"])
+        "weight-key-arabic-indic", "weight-key-plus", "breaks-huge", "breaks-string-and-true",
+        "weight-arabic-indic-digits"])
 def test_malformed_scenario_fails_in_one_line(tmp_path, pointer, value, needle):
     doc = helpers.set_at(helpers.base_flow_scenario(), pointer, value)
     helpers.write_scenario(tmp_path, doc)
@@ -405,6 +410,9 @@ def test_malformed_scenario_fails_in_one_line(tmp_path, pointer, value, needle):
 # deeper than json.dumps would write.
 _BUNDLED = {name: json.loads(Path(flownet.bundled_scenario_path(name)).read_text())
             for name in ("example1", "example2", "junction")}
+# No bundled scenario has a piecewise initial profile: one that does.
+_BUNDLED["example1-piecewise"] = helpers.set_at(
+    copy.deepcopy(_BUNDLED["example1"]), "/initial/2", {"breaks": [0, 0.25, 1], "values": [1, 0.5]})
 _SENTINEL = "\x00mutation %d\x00"
 _DIGITS = (0x660, 0x966, 0xFF10, 0x1D7CE)  # Arabic-Indic, Devanagari, fullwidth, bold zero
 _SUPERSCRIPTS = "⁰¹²³⁴⁵⁶⁷⁸⁹"

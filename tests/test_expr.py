@@ -53,6 +53,17 @@ def test_malformed_inputs_report_position(source, offset):
     assert err.value.position == offset
 
 
+# float() reads every Unicode decimal digit; the grammar has ASCII digits only
+@pytest.mark.parametrize("source,offset", [
+    ("٠.٥ + ٠.٥*cos(pi*t)^٢", 0), ("1 + ٢", 4), ("0.٥", 2), ("१", 0), ("２*t", 0),
+])
+def test_non_ascii_decimal_digits_are_refused_at_their_offset(source, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(source)
+    assert err.value.position == offset
+    assert "unknown character" in str(err.value)
+
+
 @pytest.mark.parametrize("nest", [
     lambda depth: "(" * (depth - 1) + "1" + ")" * (depth - 1),
     lambda depth: "1" + "+1" * (depth - 1),

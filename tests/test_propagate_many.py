@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import helpers
 from flownet import (
     EvolutionError,
     InitialData,
+    assemble_allocation,
     assemble_weighted_adjacency,
+    load_scenario,
     propagate,
     propagate_many,
 )
@@ -79,10 +82,42 @@ def test_propagate_many_uses_one_closed_form_per_chain(monkeypatch):
     assert heads == [0.0, 5.0]
 
 
+def test_restart_rule_prices_the_work_of_each_path(monkeypatch):
+    # An advance costs nnz(M) multiply-adds per point and period. The closed
+    # form powers a flow schedule's n' x n' C to k - 1 and an allocation
+    # schedule's m x m A to k: bit_length - 1 squarings, popcount mat-vecs.
+    M = assemble_weighted_adjacency(helpers.example1_graph(), helpers.EXAMPLE1_WEIGHTS)
+    assert (len(M.entries), M.vertex_factors.n) == (7, 5)
+    assert evolution._power_cost(M, 2031) == 10 * 5 ** 3 + 9 * 5 ** 2 == 1475 < 994 * 7
+    assert evolution._power_cost(M, 1037) == 10 * 5 ** 3 + 3 * 5 ** 2 == 1325 > 6 * 7
+    J = load_scenario("junction").matrix
+    assert (len(J.entries), J.dim, J.vertex_factors) == (10, 6, None)
+    assert evolution._power_cost(J, 2031) == 10 * 6 ** 3 + 10 * 6 ** 2
+    assert evolution._power_cost(J, 1037) == 10 * 6 ** 3 + 4 * 6 ** 2
+    for schedule in (M, J):
+        heads = []
+        closed_form = evolution.propagate
+        monkeypatch.setattr(evolution, "propagate",
+                            lambda *a: heads.append(a[3]) or closed_form(*a))
+        f = helpers.constant_initial([1.0] * 6)
+        list(propagate_many(schedule, f, 0.0, [1030.0, 1031.0, 1037.0, 2031.0, 2032.0], 40))
+        assert heads == [1030.0, 2031.0]
+        heads.clear()
+        # 100 periods cost 700 (1000) multiply-adds against 1475 (2520) for the
+        # closed form, so they are advanced; priced as 100 m x m mat-vecs
+        # (3600) they would head the chain anew
+        list(propagate_many(schedule, f, 0.0, [1931.0, 2031.0], 40))
+        assert heads == [1931.0]
+        monkeypatch.undo()
+
+
 def test_propagate_many_fields_own_their_values():
     M = assemble_weighted_adjacency(helpers.example1_graph(), helpers.EXAMPLE1_WEIGHTS)
     f = helpers.expression_initial([f"0.5 + 0.1*{j}*x" for j in range(6)])
-    times = [0.0, 0.0, 1.0, 2.0, 2.0, 3.0]
+    # 0, 1, 2 and 4 head chains (x + t - s crosses a power of two); 3, 5 and
+    # both 6s are advanced states, and 5 and the first 6 are not their
+    # chain's last
+    times = [0.0, 0.0, 1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0, 6.0]
     expected = [propagate(M, f, 0.0, t, 50).values for t in times]
     for field, want in zip(propagate_many(M, f, 0.0, times, 50), expected):
         assert np.abs(field.values - want).max() <= 1e-12
@@ -114,3 +149,68 @@ def test_chains_need_equal_data_points_not_only_equal_phases():
     assert np.array_equal(p1, p2) and not np.array_equal(xi1, xi2)
     for t, field in zip(times, propagate_many(M, f, s, times, N)):
         assert np.abs(field.values - propagate(M, f, s, t, N).values).max() <= 1e-12
+
+
+@st.composite
+def layered_schedules(draw):
+    """(schedule, grid phases, finite state) for one chain advance: a random
+    flow schedule, a random allocation schedule (constant zero entries and
+    empty rows allowed) or the bundled junction schedule; phases with 0 and
+    0.5, where sin and cos vanish; states with both zeros, subnormals and
+    negative values, C- or Fortran-ordered."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["flow", "allocation", "junction"]))
+    if kind == "flow":
+        g = helpers.random_strong_graph(rng, max_m=8)
+        M = assemble_weighted_adjacency(g, helpers.random_flow_weights(rng, g))
+    elif kind == "allocation":
+        _, pattern = helpers.random_imprimitive_stochastic(rng, rng.randint(1, 8))
+        entries = {}
+        for k, l in (np.argwhere(pattern) + 1).tolist():
+            v = rng.uniform(0.0, 1.0)
+            entry = rng.choice([None, "0", repr(v), f"{v!r}*sin(pi*t)^2", f"{v!r}*cos(3*pi*t)^2"])
+            if entry is not None:
+                entries[(k, l)] = entry
+        M = assemble_allocation(pattern, entries)
+    else:
+        M = load_scenario("junction").matrix
+    N = rng.randint(1, 40)
+    phases = np.array([rng.choice([0.0, 0.5, rng.random()]) for _ in range(N)])
+    u = np.array([[rng.choice([0.0, -0.0, 5e-324, -5e-324, rng.uniform(-3.0, 3.0)])
+                   for _ in range(N)] for _ in range(M.dim)])
+    return M, phases, np.asfortranarray(u) if rng.random() < 0.5 else u
+
+
+# Derandomized so every run draws the same examples; no deadline, because an
+# example's wall time depends on the machine's load.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(layered_schedules())
+def test_an_advance_over_the_nonzeros_is_bitwise_the_dense_einsum(case):
+    M, phases, u = case
+    got = evolution._advance(M, evolution._layer_weights(M, phases), u)
+    want = helpers.dense_advance(M, phases, u)
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+
+
+def test_a_chain_on_a_150_edge_ring_holds_no_dense_stack(monkeypatch):
+    g, weights = helpers.ring_network(random.Random(3), 50)
+    M = assemble_weighted_adjacency(g, weights)
+    m, N = M.dim, 1000
+    f = helpers.expression_initial([f"1 + 0.5*sin(2*pi*x + {j})" for j in range(m)])
+    heads = []
+    closed_form = evolution.propagate
+    monkeypatch.setattr(evolution, "propagate", lambda *a: heads.append(a[3]) or closed_form(*a))
+    times = [4.0, 5.0, 6.0, 7.0]
+    expected = [closed_form(M, f, 0.0, t, N).values for t in times]
+    tracemalloc.start()
+    try:
+        for field, want in zip(propagate_many(M, f, 0.0, times, N), expected):
+            assert np.abs(field.values - want).max() <= 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert heads == [4.0]
+    # the chain keeps nnz(M) = 3 m values per point; A's dense stack alone
+    # took m^2 N 8 bytes = 180 MB
+    assert peak <= 40 * m * N * 8

@@ -175,6 +175,22 @@ def test_piecewise_break_of_the_wrong_type_rejected(tmp_path):
     assert err.value.pointer == "/initial/1"
 
 
+@pytest.mark.parametrize("spec,needle", [
+    ({"breaks": ["0", True], "values": ["2"]}, "breaks[0] must be a finite number"),
+    ({"breaks": [0, True], "values": [2]}, "breaks[1] must be a finite number"),
+    ({"breaks": [0, 1], "values": [False]}, "values[0] must be a finite number"),
+    ({"breaks": [0, 1], "values": ["2"]}, "values[0] must be a finite number"),
+    ({"breaks": [0, 1], "values": [float("nan")]}, "values[0] must be a finite number"),
+])
+def test_piecewise_entries_must_be_json_numbers(tmp_path, spec, needle):
+    # float() would read "0" and true; JSON numbers only, as every scalar field
+    doc = helpers.base_flow_scenario()
+    doc["initial"]["1"] = spec
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(helpers.write_scenario(tmp_path, doc))
+    assert err.value.pointer == "/initial/1" and needle in str(err.value)
+
+
 def test_nonperiodic_weight_needs_flag(tmp_path):
     doc = helpers.base_flow_scenario()
     doc["weights"]["1,1"] = "t"

@@ -17,7 +17,7 @@ from flownet import TimeVaryingMatrix, assemble_weighted_adjacency, build_graph,
 from flownet import evolution
 from flownet.evolution import _evolve, midpoints
 from flownet.scenario import load_scenario, scenario_from_dict
-from flownet.schedules import FLOW
+from flownet.schedules import FLOW, VertexFactors
 from flownet.spectral import peripheral_count
 
 
@@ -173,3 +173,18 @@ def test_a_flow_matrix_whose_rows_span_two_classes_is_powered_in_edge_space():
     xs = midpoints(16)
     got = _evolve(M, f, 0.0, 5.5, xs)
     assert got.tobytes("A") == helpers.edge_space_evolve(M, f, 0.0, 5.5, xs).tobytes("A")
+
+
+def test_no_stack_of_c_is_built_where_no_point_crosses_twice(monkeypatch):
+    sc = load_scenario("example1")
+    stacks = []
+    transfer = VertexFactors.transfer
+    monkeypatch.setattr(VertexFactors, "transfer", lambda self, w: stacks.append(len(w))
+                        or transfer(self, w))
+    xs = midpoints(400)
+    for s, t, built in ((0.0, 0.5, 0), (0.0, 1.0, 0), (0.3, 1.2, 0), (0.0, 1.5, 400),
+                        (0.0, 7.0, 400)):
+        stacks.clear()
+        got = _evolve(sc.matrix, sc.initial, s, t, xs)
+        assert sum(stacks) == built
+        assert np.abs(got - helpers.edge_space_evolve(sc.matrix, sc.initial, s, t, xs)).max() <= 1e-12
