@@ -11,7 +11,10 @@ The solver evaluates the closed form
 
 valid for 1-periodic column-stochastic schedules: every boundary crossing of
 a characteristic happens at times congruent mod 1, so all k crossings apply
-the same A and only the vector A^k f is needed.
+the same A and only the vector A^k f is needed. With d = t - s, the phase is
+frac(x + frac(t)), k = floor(d) + floor(x + frac(d)) as an integer sum, and
+xi = x + frac(d) less its floor: from exact parts of the float d, phases and
+crossings keep the grid's resolution up to _MAX_SPAN = 2^53.
 
 A flow schedule is powered through its vertices: A = W H (see
 schedules.VertexFactors), so A^k f = W C^(k-1) H f with C = H W, n' x n'
@@ -42,11 +45,9 @@ powered state (k0 >= 1) is Fortran-ordered, as einsum returns it, and an
 unpowered one is the data's C-ordered array; l1_norm sums in layout order.
 
 Many query times share work through the one-period recurrence. Two times
-that differ by a whole number of periods see the same phase (t + x) mod 1 at
-every grid point, hence the same A, and u(x, t + n) = A^n u(x, t).
-propagate_many groups its times into chains: a time joins a chain only when
-its grid phases and its data points xi = x + t - s - k are bitwise equal to
-the chain's, which are exactly the arrays the closed form would use. The
+with the same frac(t) and frac(t - s) have bitwise the same phases, hence
+the same A, and data points, and u(x, t + n) = A^n u(x, t). propagate_many
+keys its chains on that pair of floats, with no N-point array per time. The
 first time of a chain is evaluated by propagate; every later one advances
 the chain's state by one pass over A's nonzeros per period (_advance), for
 both kinds of schedule, bitwise the dense mat-vec for a finite state. The
@@ -68,7 +69,7 @@ which no serial rewrite shortens.
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import math
 import os
 import shutil
 import tempfile
@@ -84,7 +85,7 @@ from .schedules import TimeVaryingMatrix
 # Bytes of one chunk's powering stacks, about a core's L2 cache: _evolve
 # powers the grid in chunks of at least one point whose stacks fit in it.
 _CHUNK_BYTES = 2 << 20
-# Beyond this t - s, x + t - s no longer tells the grid points apart.
+# From this t - s on, a float no longer holds every whole number of periods.
 _MAX_SPAN = 2.0 ** 53
 # Fewest values in one block of a field's CSV. Below about 2^15 values (some
 # 30 ms of formatting) a fork and its temporary file cost more than the
@@ -257,17 +258,23 @@ def midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
+def _split(s: float, t: float) -> tuple[float, float, int]:
+    """(frac(t), frac(t - s), floor(t - s)), exact for the float t - s."""
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise EvolutionError(f"start time {s} and query time {t} must be finite")
+    d = t - s
+    if d >= _MAX_SPAN:
+        raise EvolutionError(f"t - s = {d!r} is at least 2**53: a float no longer holds "
+                             "every whole number of periods")
+    return t % 1.0, d % 1.0, math.floor(d)
+
+
 def _characteristics(xs: np.ndarray, s: float, t: float):
     """(schedule phases, boundary crossings k, data points xi) of the closed form at xs."""
-    if not (np.isfinite(s) and np.isfinite(t)):
-        raise EvolutionError(f"start time {s} and query time {t} must be finite")
-    if t - s >= _MAX_SPAN:
-        raise EvolutionError(f"t - s = {t - s!r} is at least 2**53: x + t - s no longer "
-                             "resolves the grid")
-    z = xs + (t - s)
-    ks = np.floor(z).astype(np.int64)
-    y = t + xs
-    return y - np.floor(y), ks, z - ks  # y - floor(y) is np.mod(y, 1.0) for finite y
+    ft, fd, kd = _split(s, t)
+    z, y = xs + fd, xs + ft
+    fz = np.floor(z)
+    return y - np.floor(y), kd + fz.astype(np.int64), z - fz
 
 
 def _evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, xs: np.ndarray) -> np.ndarray:
@@ -318,8 +325,8 @@ def _evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, xs: np.nda
 def _power_chunk(base: np.ndarray, out: np.ndarray, ks: np.ndarray, k0: int, kmax: int):
     """A^k of one chunk's vectors out, given its stack base of A, in two stacks;
     a position with k < k0 gets A^k0."""
-    # Positions above k0 (by one, or two where rounding moves x = 0 and x = 1
-    # across crossings) take extra mat-vecs on the whole chunk, gathering no
+    # Positions above k0 (by one, or two where x + frac(t - s) rounds up to
+    # 2 at x = 1) take extra mat-vecs on the whole chunk, gathering no
     # rows; then all take A^k0 by binary powering on the vector.
     for above in range(k0 + 1, kmax + 1):
         extra = ks >= above
@@ -400,10 +407,10 @@ def propagate_many(
 ) -> Iterator[EdgeDensityField]:
     """The fields propagate would give at each of the non-decreasing times, in order.
 
-    Times are grouped into chains of bitwise-equal grid phases and data points
-    (see the module docstring); a chain's state and layer values are dropped
-    right after its last time, so memory is bounded by the chains that are
-    still open. Each yielded field owns its values.
+    Times are grouped into chains of equal frac(t) and frac(t - s) (see the
+    module docstring); a chain's state and layer values are dropped right
+    after its last time, so memory is bounded by the chains that are still
+    open. Each yielded field owns its values.
     """
     if N < 1:
         raise EvolutionError(f"resolution must be at least 1, got {N}")
@@ -413,23 +420,14 @@ def propagate_many(
     if times and times[0] < s:
         raise EvolutionError(f"query time {times[0]} precedes start time {s}")
     xs = midpoints(N)
-    # First pass: the chain of each time, keyed by a SHA-256 digest of its
-    # phases, and of its data points where they are not bitwise the phases
-    # (they always are for s = 0); the crossings at grid point 0 (within a
-    # chain every point crosses equally often); each chain's last use.
-    plan = []
-    last_use = {}
-    for i, t in enumerate(times):
-        phases, ks, xi = _characteristics(xs, s, t)
-        h = hashlib.sha256(phases)
-        if not np.array_equal(phases.view(np.int64), xi.view(np.int64)):
-            h.update(xi)
-        key = h.digest()
-        plan.append((key, int(ks[0])))
-        last_use[key] = i
+    # Each time's chain key, which fixes its phases and data points, and its
+    # crossings at grid point 0 (all points of a chain cross equally often).
+    plan = [((ft, fd), kd + math.floor(xs[0] + fd))
+            for ft, fd, kd in (_split(s, t) for t in times)]
+    last_use = {key: i for i, (key, _) in enumerate(plan)}
 
     def stream() -> Iterator[EdgeDensityField]:
-        chains: dict[bytes, _Chain] = {}
+        chains: dict[tuple[float, float], _Chain] = {}
         for i, (t, (key, k)) in enumerate(zip(times, plan)):
             last = last_use[key] == i
             chain = chains.get(key)

@@ -242,9 +242,10 @@ def convergence_diagnostic(
         raise HypothesisError(f"horizon {horizon} must be at least 2*tau = {2 * tau}")
     if stride <= 0:
         raise HypothesisError("stride must be positive")
-    # the states run to s + horizon + tau, and the loop below must end
+    # the states run to t - s = horizon + tau (see _MAX_SPAN); the loop below must end
     if horizon + tau >= _MAX_SPAN:
-        raise HypothesisError(f"horizon + tau = {horizon + tau!r} is at least 2**53")
+        raise HypothesisError(f"horizon + tau = {horizon + tau!r} is at least 2**53: a float "
+                              "no longer holds every whole number of periods")
     if (s + horizon) + stride == s + horizon:
         raise HypothesisError(f"stride {stride!r} does not advance s + horizon = {s + horizon!r}")
     base_times = []

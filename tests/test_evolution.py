@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from flownet import (
@@ -313,25 +315,58 @@ def test_evolve_matches_matrix_power_times_vector():
     f = smooth_initial(g.m)
     s = 0.3
     xs = np.asarray([0.0, 0.1, 0.49, 0.5, 0.77, 1.0])
-    spreads = set()
+    ends = set()
     for k in range(71):
-        # t - s whole: only x = 1.0 crosses k + 1 times; t - s = k + 1/2: the
-        # upper half of the edge does.
+        # t - s whole: only x = 1.0 crosses once more, or every point but x = 0
+        # where t - s rounds just below the integer; t - s = k + 1/2: the upper
+        # half of the edge does.
         for t in (s + k, s + k + 0.5):
             got = _evolve(M, f, s, t, xs)
+            d = t - s  # split exactly into whole periods and a fraction
+            whole, frac = math.floor(d), math.fmod(d, 1.0)
             ks = []
             for r, x in enumerate(xs):
-                z = x + (t - s)  # the closed form's own rounding
-                crossings = math.floor(z)
+                z = x + frac
+                crossings = whole + math.floor(z)
                 ks.append(crossings)
-                A = M.at(float(np.mod(t + x, 1.0)))
-                v = f.evaluate([z - crossings])[:, 0]
+                A = M.at(float(np.mod(np.mod(t, 1.0) + x, 1.0)))
+                v = f.evaluate([z - math.floor(z)])[:, 0]
                 expected = np.linalg.matrix_power(A, crossings) @ v
                 assert np.abs(got[:, r] - expected).max() <= 1e-12, (k, t, x)
-            spreads.add(max(ks) - min(ks))
-    # Where t - s falls just below an integer, rounding gives x = 0 one
-    # crossing fewer and x = 1 one more: three groups.
-    assert spreads == {1, 2}
+            ends.add((ks[0] - whole, ks[-1] - whole))
+    # x = 0 crosses floor(t - s) times and x = 1 once more, also where t - s
+    # rounds just below an integer (t = 2.3: t - s = 2 - 2^-52, and x + (t - s)
+    # would round to 3 at x = 1).
+    assert ends == {(0, 1)}
+
+
+# t - s from a fraction of a period to 2^52 periods, at every binade
+SPANS = (st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-3, 52))
+         | st.integers(0, 52).map(lambda e: 2.0 ** e + 0.5)
+         | st.integers(0, 2 ** 52))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(N=st.integers(1, 4096),
+       s=st.floats(-2.0 ** 52, 2.0 ** 52) | st.sampled_from([0.0, 0.3, -0.3, 1.75, -2.0 ** 40]),
+       span=SPANS)
+def test_characteristics_split_t_minus_s_exactly(N, s, span):
+    xs = midpoints(N)
+    t = s + span
+    d = t - s
+    assert 0.0 <= d < evolution._MAX_SPAN
+    phases, ks, xi = evolution._characteristics(xs, s, t)
+    assert phases.tobytes() == np.mod(np.mod(t, 1.0) + xs, 1.0).tobytes()
+    frac = math.fmod(d, 1.0)
+    assert ks.dtype == np.int64
+    assert ks.tolist() == [math.floor(d) + math.floor(x + frac) for x in xs.tolist()]
+    assert ((0.0 <= xi) & (xi < 1.0)).all()
+
+
+def test_far_time_keeps_every_grid_phase():
+    # (t + x) mod 1 in the magnitude of t left 4096 distinct phases here
+    phases = evolution._characteristics(midpoints(10 ** 4), 0.0, 2.0 ** 40 + 0.5)[0]
+    assert len(np.unique(phases)) == 10 ** 4
 
 
 def test_evolve_memory_stays_within_two_stacks():

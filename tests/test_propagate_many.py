@@ -66,8 +66,10 @@ def test_propagate_many_uses_one_closed_form_per_chain(monkeypatch):
     closed_form = evolution.propagate
     monkeypatch.setattr(evolution, "propagate", lambda *a: heads.append(a[3]) or closed_form(*a))
     list(propagate_many(M, f, 0.0, [float(t) for t in range(201)], 400))
-    # xi = x + t - floor(x + t) changes its rounding each time t passes a power of two
-    assert heads == [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+    # every whole t has frac(t) = frac(t - s) = 0: one chain, headed at t = 0
+    # (the start-time state) and anew at t = 1, where the flow schedule's
+    # closed form powers C to k - 1 = 0 and so costs less than an advance
+    assert heads == [0.0, 1.0]
 
     heads.clear()
     list(propagate_many(M, f, 0.0, [1030.0, 1031.0, 1037.0, 2031.0, 2032.0], 400))
@@ -77,9 +79,14 @@ def test_propagate_many_uses_one_closed_form_per_chain(monkeypatch):
     assert heads == [1030.0, 2031.0]
 
     heads.clear()
+    advances = []
+    step = evolution._advance
+    monkeypatch.setattr(evolution, "_advance", lambda *a: advances.append(1) or step(*a))
     list(propagate_many(M, f, 0.0, [0.0, 0.0, 5.0, 5.0, 6.0], 400))
-    # repeated times reuse their chain's state
-    assert heads == [0.0, 5.0]
+    # repeated times reuse their chain's state: 0 and 5 share a chain, whose
+    # 5 + 1 periods are advanced (5 * 7 multiply-adds against 2 * 5^3 + 5^2
+    # for the closed form's powering to k = 5)
+    assert heads == [0.0] and len(advances) == 6
 
 
 def test_restart_rule_prices_the_work_of_each_path(monkeypatch):
@@ -149,6 +156,22 @@ def test_chains_need_equal_data_points_not_only_equal_phases():
     assert np.array_equal(p1, p2) and not np.array_equal(xi1, xi2)
     for t, field in zip(times, propagate_many(M, f, s, times, N)):
         assert np.abs(field.values - propagate(M, f, s, t, N).values).max() <= 1e-12
+
+
+def test_chains_need_equal_phases_not_only_equal_data_points(monkeypatch):
+    M = assemble_weighted_adjacency(helpers.example1_graph(), helpers.EXAMPLE1_WEIGHTS)
+    f = helpers.constant_initial([1.0] * 6)
+    s, N = 0.3, 48
+    times = [s + 1.0, s + 4.0]
+    # t - s is whole for both, so their data points agree bitwise, but frac(t)
+    # and so the grid phases differ in the last bits: each heads its own chain.
+    (p1, _, xi1), (p2, _, xi2) = (evolution._characteristics(midpoints(N), s, t) for t in times)
+    assert not np.array_equal(p1, p2) and np.array_equal(xi1, xi2)
+    heads = []
+    closed_form = evolution.propagate
+    monkeypatch.setattr(evolution, "propagate", lambda *a: heads.append(a[3]) or closed_form(*a))
+    list(propagate_many(M, f, s, times, N))
+    assert heads == times
 
 
 @st.composite
