@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from .errors import FlownetError, HypothesisError, SpectralError
-from .evolution import l1_norm, propagate
-from .scenario import _MAX_POINTS, Scenario, load_scenario, validation_summary
+from .evolution import _MAX_POINTS, l1_norm, propagate
+from .scenario import Scenario, load_scenario, validation_summary
 from .spectral import (
     asymptotic_period,
     convergence_diagnostic,

@@ -46,15 +46,16 @@ unpowered one is the data's C-ordered array; l1_norm sums in layout order.
 
 Many query times share work through the one-period recurrence. Two times
 with the same frac(t) and frac(t - s) have bitwise the same phases, hence
-the same A, and data points, and u(x, t + n) = A^n u(x, t). propagate_many
-keys its chains on that pair of floats, with no N-point array per time. The
-first time of a chain is evaluated by propagate; every later one advances
-the chain's state by one pass over A's nonzeros per period (_advance), for
-both kinds of schedule, bitwise the dense mat-vec for a finite state. The
-chain keeps the values of M's layers on its phases, nnz(M) per grid point.
-A gap of n periods to k crossings costs n nnz(M) multiply-adds per point;
-the time heads the chain anew through propagate when the closed form's
-powering costs less (_power_cost).
+the same A, and data points, and u(x, t + n) = A^n u(x, t). _chain_states,
+the one chain engine, keys chains on that pair of floats, with no N-point
+array per time. A chain's first time is headed by a closed form; each later
+one advances the chain's state by one pass over A's nonzeros per period
+(_advance), bitwise the dense mat-vec for a finite state, on the values of
+M's layers at its phases, nnz(M) per grid point. A gap of n periods costs
+n nnz(M) multiply-adds per point; the time heads the chain anew when the
+closed form's powering costs less (_power_cost). propagate_many chains the
+states, headed by propagate; spectral.convergence_diagnostic chains the
+differences u(t + tau) - u(t) of a whole tau, which the recurrence maps alike.
 
 A field's CSV is formatted on every CPU of the process's affinity mask: its
 edges are cut into contiguous blocks, one per CPU, at most one per edge and
@@ -74,7 +75,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Callable, Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
@@ -87,6 +88,8 @@ from .schedules import TimeVaryingMatrix
 _CHUNK_BYTES = 2 << 20
 # From this t - s on, a float no longer holds every whole number of periods.
 _MAX_SPAN = 2.0 ** 53
+# The largest N, validation_grid, sample count and converge base-time count.
+_MAX_POINTS = 10 ** 6
 # Fewest values in one block of a field's CSV. Below about 2^15 values (some
 # 30 ms of formatting) a fork and its temporary file cost more than the
 # second block saves: on a 2-vCPU machine a 24-edge field of 24,000 values
@@ -392,25 +395,16 @@ def _advance(M: TimeVaryingMatrix, weights: list[np.ndarray], u: np.ndarray) -> 
     return out
 
 
-@dataclass
-class _Chain:
-    """Running state of the times that share one phase and data-point array."""
+def _chain_states(M: TimeVaryingMatrix, s: float, times: Iterable[float], N: int,
+                  head: Callable[[float], np.ndarray], head_cost: Callable[[int], int]
+                  ) -> Iterator[tuple[float, np.ndarray, bool]]:
+    """(t, state, last) at each of the non-decreasing times, in order.
 
-    k: int  # crossings of the state at grid point 0
-    values: np.ndarray
-    # The table values of each of M.layers at the chain's phases, (rows, N).
-    weights: list[np.ndarray] | None = None
-
-
-def propagate_many(
-    M: TimeVaryingMatrix, f: InitialData, s: float, times: Iterable[float], N: int
-) -> Iterator[EdgeDensityField]:
-    """The fields propagate would give at each of the non-decreasing times, in order.
-
-    Times are grouped into chains of equal frac(t) and frac(t - s) (see the
-    module docstring); a chain's state and layer values are dropped right
-    after its last time, so memory is bounded by the chains that are still
-    open. Each yielded field owns its values.
+    Times of equal frac(t) and frac(t - s) form a chain (see the module
+    docstring), headed by head(t), a closed-form state that costs
+    head_cost(k) multiply-adds per grid point at k crossings. state is the
+    chain's own array, not to be changed; last marks the chain's last time,
+    after which its state and layer values are dropped.
     """
     if N < 1:
         raise EvolutionError(f"resolution must be at least 1, got {N}")
@@ -426,39 +420,39 @@ def propagate_many(
             for ft, fd, kd in (_split(s, t) for t in times)]
     last_use = {key: i for i, (key, _) in enumerate(plan)}
 
-    def stream() -> Iterator[EdgeDensityField]:
-        chains: dict[tuple[float, float], _Chain] = {}
+    def stream() -> Iterator[tuple[float, np.ndarray, bool]]:
+        # key -> (crossings at grid point 0, state, _layer_weights of its phases)
+        chains: dict[tuple[float, float], tuple] = {}
         for i, (t, (key, k)) in enumerate(zip(times, plan)):
+            k0, u, weights = chains.pop(key, (None, None, None))
+            # k - k0 advances over A's nonzeros, unless the closed form multiplies
+            # less: then the time heads the chain anew (a repeated time does neither)
+            if k0 is None or (k - k0) * len(M.entries) > head_cost(k):
+                u = head(t)
+            elif k > k0:
+                if weights is None:
+                    weights = _layer_weights(M, _characteristics(xs, s, t)[0])
+                for _ in range(k - k0):
+                    u = _advance(M, weights, u)
             last = last_use[key] == i
-            chain = chains.get(key)
-            n = 0 if chain is None else k - chain.k
-            # n advances over A's nonzeros, unless the closed form's powering
-            # multiplies less; then the time heads the chain anew. A repeated
-            # time reuses the state.
-            if chain is None or n * len(M.entries) > _power_cost(M, k):
-                field = propagate(M, f, s, t, N)
-                if last:
-                    chains.pop(key, None)
-                elif chain is None:
-                    chains[key] = _Chain(k, field.values.copy())
-                else:
-                    chain.k, chain.values = k, field.values.copy()
-                yield field
-                continue
-            if n:
-                if chain.weights is None:
-                    chain.weights = _layer_weights(M, _characteristics(xs, s, t)[0])
-                for _ in range(n):
-                    chain.values = _advance(M, chain.weights, chain.values)
-                chain.k = k
-            if last:
-                del chains[key]
-                values = chain.values
-            else:
-                values = chain.values.copy()
-            yield EdgeDensityField(values=values, resolution=N, time=t, origin=float(s))
+            if not last:
+                chains[key] = k, u, weights
+            yield t, u, last
 
     return stream()
+
+
+def propagate_many(
+    M: TimeVaryingMatrix, f: InitialData, s: float, times: Iterable[float], N: int
+) -> Iterator[EdgeDensityField]:
+    """The fields propagate would give at each of the non-decreasing times, in
+    order, from one chain of states per frac(t) and frac(t - s). Each yielded
+    field owns its values: a copy in the chain's layout, but for a chain's
+    last time."""
+    states = _chain_states(M, s, times, N, lambda t: propagate(M, f, s, t, N).values,
+                           lambda k: _power_cost(M, k))
+    return (EdgeDensityField(values=u if last else u.copy(order="K"), resolution=N,
+                             time=t, origin=float(s)) for t, u, last in states)
 
 
 def l1_norm(u: EdgeDensityField) -> tuple[np.ndarray, float]:

@@ -39,7 +39,7 @@ from .errors import (
     ScenarioError,
     ScheduleError,
 )
-from .evolution import ExprProfile, InitialData, PiecewiseProfile, midpoints
+from .evolution import _MAX_POINTS, ExprProfile, InitialData, PiecewiseProfile, midpoints
 from .graph import NetworkGraph, build_graph, line_graph_adjacency
 from .schedules import (
     TimeVaryingMatrix,
@@ -54,7 +54,6 @@ from .spectral import _survey_support, default_sample_times
 
 BUNDLED = ("example1", "example2", "junction")
 
-_MAX_POINTS = 10 ** 6  # the largest N and validation_grid
 _TOP_KEYS = {"graph", "mode", "weights", "junctions", "initial", "s", "N",
              "validation_grid", "tolerances"}
 

@@ -18,6 +18,11 @@ validation_summary, asymptotic_period and, through the period report,
 strictly_positive_shortcut all read that one survey; asymptotic_period runs
 each sample's eigensolve on the survey's table, one dense matrix (C, or M for
 an allocation schedule) at a time.
+
+convergence_diagnostic measures how fast the flow settles: the L1 distance
+delta(t) between u(t) and u(t + tau), read off one chain of the differences
+e(t) = u(t + tau) - u(t) on evolution's chain engine, which holds no state
+beyond its chains and subtracts two states only where a chain is headed.
 """
 
 from __future__ import annotations
@@ -28,8 +33,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import evolution
 from .errors import HypothesisError, SpectralError
-from .evolution import _MAX_SPAN, InitialData, csv_file, propagate_many
+from .evolution import (_MAX_POINTS, _MAX_SPAN, InitialData, _chain_states, _power_cost,
+                        csv_file)
 from .graph import cyclic_index, is_strongly_connected
 from .schedules import TimeVaryingMatrix, support_pattern
 
@@ -231,8 +238,12 @@ def convergence_diagnostic(
     for a phase of cyclic index h >= 2 (example2). That rate is not computed
     here; the fitted log-linear rate is reported as evidence, never asserted.
 
-    The states stream from propagate_many in time order; a state is kept only
-    while its t + tau partner is still to come.
+    For a whole tau, t and t + tau share their phases and data points, so
+    e(t) = u(t + tau) - u(t) follows the one-period recurrence e(t + n) =
+    A^n e(t): one chain of differences (evolution._chain_states) gives every
+    delta. A head subtracts two closed-form states; later times advance e
+    itself, rounding relative to e, not to ||u||, down to the mass that the
+    head's rounding leaves in e.
     """
     if tau < 1:
         raise HypothesisError(f"tau must be a positive whole number of periods, got {tau}")
@@ -248,29 +259,24 @@ def convergence_diagnostic(
                               "no longer holds every whole number of periods")
     if (s + horizon) + stride == s + horizon:
         raise HypothesisError(f"stride {stride!r} does not advance s + horizon = {s + horizon!r}")
+    if horizon / stride + 1 > _MAX_POINTS:
+        raise HypothesisError(f"horizon {horizon!r} over stride {stride!r} gives more than "
+                              "10**6 base times")
     base_times = []
     j = 0
     while s + j * stride <= s + horizon + 1e-12:
         base_times.append(s + j * stride)
         j += 1
-    # base_times strictly increases, so each t + tau has exactly one base time.
-    base = set(base_times)
-    partner = {t + tau: t for t in base_times}
-    held: dict[float, np.ndarray] = {}
-    by_time: dict[float, float] = {}
-    for field in propagate_many(M, f, s, sorted(base | partner.keys()), N):
-        if field.time in base:
-            held[field.time] = field.values
-        if field.time in partner:
-            t = partner[field.time]
-            by_time[t] = float(np.abs(field.values - held.pop(t)).sum() / N)
-    deviation = [by_time[t] for t in base_times]
+
+    def state(t: float) -> np.ndarray:  # looked up on the module, where tests count it
+        return evolution.propagate(M, f, s, t, N).values
+
+    chain = _chain_states(M, s, base_times, N, lambda t: state(t + tau) - state(t),
+                          lambda k: _power_cost(M, k) + _power_cost(M, k + tau))
+    deviation = [float(np.abs(e).sum() / N) for _, e, _ in chain]
     elapsed = [t - s for t in base_times]
 
-    positive = [(e, d) for e, d in zip(elapsed, deviation) if d > 0.0]
-    rate = None
-    if len(positive) >= 2:
-        es = np.asarray([p[0] for p in positive])
-        ds = np.log(np.asarray([p[1] for p in positive]))
-        rate = float(np.polyfit(es, ds, 1)[0])
+    es, ds = np.asarray(elapsed), np.asarray(deviation)
+    keep = ds > 0.0  # a log-linear fit over the positive deltas
+    rate = float(np.polyfit(es[keep], np.log(ds[keep]), 1)[0]) if keep.sum() >= 2 else None
     return ConvergenceTrace(elapsed=tuple(elapsed), deviation=tuple(deviation), rate=rate)

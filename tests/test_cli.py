@@ -345,6 +345,7 @@ def _limit_memory():
     (["period", "--out", "/nonexistent/x.json"], 2,
      "error: /nonexistent/x.json: No such file or directory"),
     (["validate", "--out", "/"], 2, "error: /: Is a directory"),
+    (["converge", "--grid", "1", "--horizon", "1e9"], 1, "more than 10**6 base times"),
 ])
 def test_degenerate_arguments_fail_in_one_line(tmp_path, argv, code, needle):
     if argv[0] in ("simulate", "converge") and "--out" not in argv:

@@ -5,9 +5,10 @@ directory, with ``--out`` relative to it so that the JSON holds no machine
 path. The stdout JSON and, for ``simulate`` and ``converge``, the CSV must
 equal the files under ``tests/golden/`` byte for byte.
 
-Record the files again only when an output is meant to change:
+Record the files again only when an output is meant to change, all of them
+or only the named cases (such as example1-converge):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -65,13 +67,16 @@ def test_cli_output_matches_golden(case, tmp_path):
         assert data == (GOLDEN / name).read_bytes(), f"{name} differs from its golden file"
 
 
-def record() -> None:
+def record(cases=CASES) -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
+        for case in cases:
             for name, data in _run(case, Path(tmp)).items():
                 (GOLDEN / name).write_bytes(data)
 
 
 if __name__ == "__main__":
-    record()
+    unknown = [case for case in sys.argv[1:] if case not in CASES]
+    if unknown:
+        sys.exit(f"unknown case {', '.join(unknown)}; the cases are: {', '.join(sorted(CASES))}")
+    record(sys.argv[1:] or CASES)
