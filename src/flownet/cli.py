@@ -9,8 +9,9 @@ produce byte-identical output.
 Every command prints one JSON report (validate and period also copy it to
 --out): keys sorted, indented by 2, the same bytes as
 json.dumps(report, indent=2, sort_keys=True), with NaN and Infinity for
-non-finite values. Those values are the report's to show, so numpy's
-floating-point warnings are silenced while a command runs.
+non-finite values, which are the report's to show, so numpy's floating-point
+warnings are silenced while a command runs. A 0/1 matrix, such as a support
+pattern, is written as one filled byte block, not value by value.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -37,11 +39,23 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _bits(rows) -> np.ndarray | None:
+    """rows as a uint8 array if they are equal-length, nonempty lists of the
+    plain ints 0 and 1, else None. type, not isinstance: a bool is an int
+    that json writes as true/false."""
+    if (set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1 or not rows[0]
+            or set(map(type, chain.from_iterable(rows))) != {int}
+            or not set(chain.from_iterable(rows)) <= {0, 1}):
+        return None
+    return np.array(rows, np.uint8)
+
+
 def _to_json(obj, indent: str = "\n") -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for str keys.
 
     That call runs json's pure-Python encoder, one generator step per value;
-    here a list of plain ints, such as a support pattern's row, is one join.
+    here a 0/1 matrix (see _bits) is one byte block of "0" and its separator
+    per entry, the bits added into the digits, decoded and cut into rows.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -52,9 +66,16 @@ def _to_json(obj, indent: str = "\n") -> str:
                  for key, value in sorted(obj.items())]
     elif isinstance(obj, (list, tuple)):
         opening, closing = "[", "]"
-        # type, not isinstance: a bool is an int that json writes as true/false
-        items = (map(int.__repr__, obj) if set(map(type, obj)) == {int}
-                 else [_to_json(value, inner) for value in obj])
+        bits = _bits(obj)
+        if bits is None:
+            items = [_to_json(value, inner) for value in obj]
+        else:
+            sep = "," + inner + "  "
+            cells = bytearray(("0" + sep).encode() * bits.size)
+            np.frombuffer(cells, np.uint8)[::len(sep) + 1] += bits.ravel()
+            text, width = cells.decode(), bits.shape[1] * (len(sep) + 1)
+            items = [f"[{inner}  {text[i:i + width - len(sep)]}{inner}]"
+                     for i in range(0, len(text), width)]
     else:
         return json.dumps(obj)
     if not obj:

@@ -125,18 +125,21 @@ def _parse_pair(key: str, pointer: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _parse_weight(source, pointer: str, var: str = "t") -> ex.Expr:
+def _parse_weight(source, pointer: str, memo: dict, var: str = "t") -> ex.Expr:
     """The parsed expression, evaluated once on no points: every term in the
     variable comes out empty, so only the faults that no grid escapes (a
     constant that overflows, a constant zero divisor) are raised, here at
-    pointer rather than later without it."""
+    pointer rather than later without it. memo holds one document's Exprs by
+    (source, var): a repeat shares one, a bad source fails at its first pointer."""
     _require(isinstance(source, str), "expression must be a string", pointer)
-    try:
-        e = ex.parse_expr(source, var=var)
-        ex.evaluate(e, np.empty(0))
-    except (ExprSyntaxError, ExprEvalError) as err:
-        raise ScenarioError(f"bad expression {source!r}: {err}", pointer) from err
-    return e
+    if (source, var) not in memo:
+        try:
+            e = ex.parse_expr(source, var=var)
+            ex.evaluate(e, np.empty(0))
+        except (ExprSyntaxError, ExprEvalError) as err:
+            raise ScenarioError(f"bad expression {source!r}: {err}", pointer) from err
+        memo[source, var] = e
+    return memo[source, var]
 
 
 def load_scenario(path) -> Scenario:
@@ -179,21 +182,22 @@ def scenario_from_dict(doc) -> Scenario:
 
     mode = doc.get("mode")
     _require(mode in ("flow", "atf"), "mode must be 'flow' or 'atf'", "/mode")
+    memo: dict = {}  # this document's parsed expressions, for _parse_weight
 
     if mode == "flow":
         _require("weights" in doc, "flow mode needs 'weights'", "/weights")
         _require("junctions" not in doc, "'junctions' is only valid in atf mode", "/junctions")
-        matrix = _weights_matrix(doc["weights"], partial(assemble_weighted_adjacency, g))
+        matrix = _weights_matrix(doc["weights"], partial(assemble_weighted_adjacency, g), memo)
     else:
         has_w, has_j = "weights" in doc, "junctions" in doc
         _require(has_w != has_j, "atf mode needs exactly one of 'weights' or 'junctions'", "")
         if has_w:
             matrix = _weights_matrix(doc["weights"],
-                                     partial(assemble_allocation, line_graph_adjacency(g)))
+                                     partial(assemble_allocation, line_graph_adjacency(g)), memo)
         else:
-            matrix = _junction_matrix(g, doc["junctions"])
+            matrix = _junction_matrix(g, doc["junctions"], memo)
 
-    initial = _initial_data(g, doc.get("initial"))
+    initial = _initial_data(g, doc.get("initial"), memo)
 
     tol_doc = doc.get("tolerances", {})
     _require(isinstance(tol_doc, dict), "'tolerances' must be an object", "/tolerances")
@@ -216,21 +220,21 @@ def scenario_from_dict(doc) -> Scenario:
     )
 
 
-def _weights_matrix(weights_doc, assemble) -> TimeVaryingMatrix:
+def _weights_matrix(weights_doc, assemble, memo: dict) -> TimeVaryingMatrix:
     """The 'weights' object, keyed "a,b", parsed and passed to assemble."""
     _require(isinstance(weights_doc, dict) and weights_doc, "'weights' must be a nonempty object", "/weights")
     weights = {}
     for key, source in weights_doc.items():
         pointer = f"/weights/{key}"
         a, b = _parse_pair(key, pointer)
-        weights[(a, b)] = _parse_weight(source, pointer)
+        weights[(a, b)] = _parse_weight(source, pointer, memo)
     try:
         return assemble(weights)
     except ScheduleError as err:
         raise ScenarioError(str(err), "/weights") from err
 
 
-def _junction_matrix(g: NetworkGraph, junctions_doc) -> TimeVaryingMatrix:
+def _junction_matrix(g: NetworkGraph, junctions_doc, memo: dict) -> TimeVaryingMatrix:
     _require(isinstance(junctions_doc, list) and junctions_doc,
              "'junctions' must be a nonempty list", "/junctions")
     junctions = []
@@ -250,7 +254,7 @@ def _junction_matrix(g: NetworkGraph, junctions_doc) -> TimeVaryingMatrix:
         for r, row in enumerate(rows):
             _require(isinstance(row, list), "matrix row must be a list", f"{pointer}/matrix/{r}")
             parsed_rows.append(
-                [_parse_weight(v, f"{pointer}/matrix/{r}/{c}") for c, v in enumerate(row)]
+                [_parse_weight(v, f"{pointer}/matrix/{r}/{c}", memo) for c, v in enumerate(row)]
             )
         try:
             junctions.append(make_junction(incoming, outgoing, parsed_rows))
@@ -262,7 +266,7 @@ def _junction_matrix(g: NetworkGraph, junctions_doc) -> TimeVaryingMatrix:
         raise ScenarioError(str(err), "/junctions") from err
 
 
-def _initial_data(g: NetworkGraph, initial_doc) -> InitialData:
+def _initial_data(g: NetworkGraph, initial_doc, memo: dict) -> InitialData:
     _require(isinstance(initial_doc, dict), "missing or invalid 'initial' object", "/initial")
     profiles = []
     for j in range(1, g.m + 1):
@@ -271,7 +275,7 @@ def _initial_data(g: NetworkGraph, initial_doc) -> InitialData:
         _require(key in initial_doc, f"missing initial density for edge {j}", pointer)
         spec = initial_doc[key]
         if isinstance(spec, str):
-            profiles.append(ExprProfile(_parse_weight(spec, pointer, var="x")))
+            profiles.append(ExprProfile(_parse_weight(spec, pointer, memo, var="x")))
         elif isinstance(spec, dict):
             unknown = set(spec) - {"breaks", "values"}
             _require(not unknown, f"unknown keys {sorted(unknown)}", pointer)

@@ -91,7 +91,7 @@ class VertexFactors:
     tails: np.ndarray
     columns: np.ndarray
 
-    @property
+    @cached_property
     def n(self) -> int:
         return int(self.heads.max()) + 1
 

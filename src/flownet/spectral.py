@@ -267,6 +267,8 @@ def convergence_diagnostic(
     while s + j * stride <= s + horizon + 1e-12:
         base_times.append(s + j * stride)
         j += 1
+    if len(set(base_times)) < len(base_times):  # s + j*stride rounds to the float grid of s
+        raise HypothesisError(f"stride {stride!r} is too fine for s = {s!r}: base times coincide")
 
     def state(t: float) -> np.ndarray:  # looked up on the module, where tests count it
         return evolution.propagate(M, f, s, t, N).values

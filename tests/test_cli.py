@@ -346,11 +346,17 @@ def _limit_memory():
      "error: /nonexistent/x.json: No such file or directory"),
     (["validate", "--out", "/"], 2, "error: /: Is a directory"),
     (["converge", "--grid", "1", "--horizon", "1e9"], 1, "more than 10**6 base times"),
+    (["converge", "--tau", "1", "--horizon", "3", "--stride", "0.5",
+      "--scenario", "s-2**52.json"], 1, "coincide"),
 ])
 def test_degenerate_arguments_fail_in_one_line(tmp_path, argv, code, needle):
     if argv[0] in ("simulate", "converge") and "--out" not in argv:
         argv = argv + ["--out", "out.csv"]
-    done = run_process(argv + ["--scenario", "example1"], tmp_path)
+    if "--scenario" not in argv:
+        argv = argv + ["--scenario", "example1"]
+    # example1 from s = 2**52, where floats are 1 apart: s + j*0.5 repeats base times
+    helpers.write_scenario(tmp_path, dict(_BUNDLED["example1"], s=2.0 ** 52), "s-2**52.json")
+    done = run_process(argv, tmp_path)
     assert done.returncode == code, done.stderr
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr

@@ -2,17 +2,18 @@
 
 Every report the CLI prints goes through cli._to_json, which must give the
 same bytes as the json module on any payload with str keys, and refuse any
-other key.
+other key. Its block path for 0/1 matrices is tested on its own below.
 """
 
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flownet.cli import _to_json
+from flownet.cli import _bits, _to_json
 
 # quotes, backslashes, control characters and non-ASCII, which json escapes
 _TRICKY = '"\\/\x00\x07\x1f\x7f\b\f\n\r\té€ \ud800\U0001f600'
@@ -65,3 +66,41 @@ def test_writer_gives_the_json_module_bytes_or_refuses_a_non_str_key(obj):
             _to_json(obj)
     else:
         assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+# A 0/1 matrix (equal-length, nonempty lists of the plain ints 0 and 1) is
+# written as one filled byte block; anything else near it takes the general path.
+_PATTERN = np.random.default_rng(150).integers(0, 2, (150, 150)).tolist()
+
+
+@pytest.mark.parametrize("obj,block", [
+    ({"patterns": _PATTERN}, True),
+    ({"a": {"b": {"patterns": _PATTERN}}}, True),
+    ([[0, 1], [1]], False),
+    ([[0, True]], False),
+    ([[0, 2]], False),
+    ([[]], False),
+    (([0, 1], [1, 0]), True),
+], ids=["150x150-depth-1", "150x150-depth-3", "ragged", "bool", "two", "empty-row",
+        "tuple-of-lists"])
+def test_writer_examples_give_the_json_module_bytes(obj, block):
+    assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    matrix = obj
+    while isinstance(matrix, dict):
+        (matrix,) = matrix.values()
+    assert (_bits(matrix) is not None) == block
+
+
+matrices = st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                       min_size=1, max_size=40))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(matrices, st.integers(0, 3))
+def test_writer_block_gives_the_json_module_bytes(rows, depth):
+    obj = rows
+    for level in range(depth):
+        obj = {f"k{level}": obj, "n": level}
+    assert _bits(rows) is not None
+    assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)

@@ -10,7 +10,9 @@ from flownet import (
     load_scenario,
     validation_summary,
 )
+from flownet.evolution import midpoints
 from flownet.scenario import scenario_from_dict
+from flownet.spectral import asymptotic_period, default_sample_times
 
 
 def test_bundled_example1_reproduces_flow_setup():
@@ -350,3 +352,82 @@ def test_validation_summary_flags_negative_initial_density(tmp_path):
     summary = validation_summary(load_scenario(path))
     assert summary["initial_min_density"] < 0
     assert not summary["passed"]
+
+
+# One document parses each distinct (source, variable) pair once: its weights,
+# junction cells and initial densities share one Expr per pair.
+
+def _respelled(doc: dict) -> dict:
+    """doc with the k-th repeat of each source led by k spaces ("0.5", " 0.5",
+    ...), so that no two sources are the same string."""
+    seen: dict[str, int] = {}
+
+    def spell(source: str) -> str:
+        seen[source] = seen.get(source, -1) + 1
+        return " " * seen[source] + source
+
+    return dict(doc, weights={k: spell(v) for k, v in doc["weights"].items()},
+                initial={k: spell(v) for k, v in doc["initial"].items()})
+
+
+def _expr_ids(sc, doc: dict) -> tuple[dict, dict]:
+    """For weights and initial densities: source -> ids of the Exprs it gave."""
+    weights, initial = {}, {}
+    for (k, _), e in sc.matrix.entries.items():  # entry (k, l) holds weight (tail(e_k), e_k)
+        weights.setdefault(doc["weights"][f"{sc.graph.tail(k)},{k}"], set()).add(id(e))
+    for j, profile in enumerate(sc.initial.profiles, start=1):
+        initial.setdefault(doc["initial"][str(j)], set()).add(id(profile.expr))
+    return weights, initial
+
+
+def test_repeated_sources_share_one_expr_and_load_as_when_respelled():
+    doc = helpers.load_perfbench("gen").ring_scenario(1, 8)
+    respelled = _respelled(doc)
+    sc, sc2 = scenario_from_dict(doc), scenario_from_dict(respelled)
+    for part, ids in zip(("weights", "initial"), _expr_ids(sc, doc)):
+        assert len(set(doc[part].values())) < len(doc[part]), part  # some source repeats
+        assert all(len(objects) == 1 for objects in ids.values()), part
+    for part, ids in zip(("weights", "initial"), _expr_ids(sc2, respelled)):
+        assert len(set().union(*ids.values())) == len(ids), part  # one Expr per spelling
+
+    grid = np.linspace(0.0, 1.0, 1001)
+    assert np.array_equal(sc.matrix.table(grid), sc2.matrix.table(grid))
+    xs = midpoints(sc.resolution)
+    assert np.array_equal(sc.initial.evaluate(xs), sc2.initial.evaluate(xs))
+    assert validation_summary(sc) == validation_summary(sc2)
+    reports = [asymptotic_period(s.matrix, default_sample_times(s.matrix), s.tolerances.zero)
+               for s in (sc, sc2)]
+    assert reports[0].to_json() == reports[1].to_json()
+
+
+def test_a_source_is_parsed_separately_for_t_and_x():
+    doc = helpers.base_flow_scenario()
+    doc["weights"]["1,1"] = doc["initial"]["1"] = "x"
+    with pytest.raises(ScenarioError, match="'x'") as err:
+        scenario_from_dict(doc)
+    assert err.value.pointer == "/weights/1,1"
+    # weights load before the initial data: a weight's source is still
+    # parsed anew, in x, as a density
+    doc = helpers.base_flow_scenario()
+    doc["weights"]["1,1"] = doc["initial"]["1"] = "cos(pi*t)^2 + sin(pi*t)^2"
+    with pytest.raises(ScenarioError, match="bad expression") as err:
+        scenario_from_dict(doc)
+    assert err.value.pointer == "/initial/1"
+
+
+@pytest.mark.parametrize("source", ["cos(", "2^100000"])
+@pytest.mark.parametrize("part,pointer", [("weights", "/weights/1,1"), ("initial", "/initial/1")])
+def test_the_first_of_two_identical_bad_sources_is_reported(source, part, pointer):
+    doc = helpers.base_flow_scenario()
+    for key in list(doc[part]):
+        doc[part][key] = source
+    with pytest.raises(ScenarioError, match="bad expression") as err:
+        scenario_from_dict(doc)
+    assert err.value.pointer == pointer
+
+
+def test_two_loads_share_no_expr():
+    first, second = load_scenario("example1"), load_scenario("example1")
+    ids = [{id(e) for e in sc.matrix.entries.values()}
+           | {id(p.expr) for p in sc.initial.profiles} for sc in (first, second)]
+    assert ids[0] and not ids[0] & ids[1]
