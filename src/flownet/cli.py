@@ -96,6 +96,8 @@ def _load(args) -> Scenario:
     for flag, value in (("--grid", args.grid), ("--samples", getattr(args, "samples", None))):
         if value is not None and not 1 <= value <= _MAX_POINTS:
             raise FlownetError(f"{flag} must be between 1 and {_MAX_POINTS}, got {value}")
+    if args.tol is not None and not 0 < args.tol < np.inf:  # as tolerances.stochastic
+        raise FlownetError(f"--tol must be a finite number > 0, got {args.tol}")
     sc = load_scenario(args.scenario)
     if args.grid is not None:
         sc = dataclasses.replace(sc, resolution=int(args.grid))
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=int, default=64,
                            help="equispaced support sample times per period, 1..10**6 (default 64)")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the stochasticity tolerance")
+                       help="override the stochasticity tolerance (a finite number > 0)")
         if gated:
             p.add_argument("--force", action="store_true",
                            help="run even if scenario validation fails")

@@ -10,13 +10,15 @@ Two kinds of m x m matrix-valued schedules are assembled here:
   as per-junction blocks that are embedded transposed into the big matrix.
 
 Entries must be 1-periodic in time, because the solver reads the schedule at
-(t + x) mod 1: TimeVaryingMatrix refuses, however it is built, any entry that
-expr.is_periodic_in_time cannot prove 1-periodic, or that has a sin/cos with
-more quarter-period points than the support survey samples; it keeps the
-quarter-period times it found. Its table holds each distinct expression once on
-a time grid; scatter spreads a table into dense stacks, and layers lists the
-entries row by row for products over the nonzeros. Both kinds must be
-column-stochastic for mass conservation: validators check tables.
+(t + x) mod 1: TimeVaryingMatrix refuses, however it is built, a key off the
+graph's support, any entry that expr.is_periodic_in_time cannot prove
+1-periodic, or that has a sin/cos with more quarter-period points than the
+support survey samples; it keeps the quarter-period times it found. It indexes
+its nonzeros once, as (row, column, table column): table evaluates each distinct
+expression once on a time grid, scatter spreads a table into dense stacks in one
+assignment, and layers splits the index row by row for products over the
+nonzeros. Both kinds must be column-stochastic for mass conservation:
+validators check tables.
 
 A flow schedule also factors through the vertices, as the paper's
 b = phi_minus^T phi_plus does: M = W H, with H the 0/1 head incidence of the
@@ -132,9 +134,10 @@ class TimeVaryingMatrix:
     """Square matrix of 1-periodic scalar expressions; absent entries are zero.
 
     ``entries`` is keyed by 1-based (row k, col l). ``adjacency`` is the 0/1
-    support allowed by the underlying graph; every key must lie inside it.
-    Construction fails on the first (k, l) whose entry is not 1-periodic or
-    has a sin/cos with too many quarter-period points.
+    support allowed by the underlying graph. Construction refuses the first
+    key, in entry order, outside 1..dim or where adjacency is 0; then the
+    first (k, l) whose entry is not 1-periodic or has a sin/cos with too many
+    quarter-period points.
     """
 
     dim: int
@@ -143,58 +146,50 @@ class TimeVaryingMatrix:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        times: set[float] = set()
-        bad = []
-        for e, rows, cols in self._scatter:
-            try:
-                times |= _accepted_times(e)
-            except ScheduleError as err:
-                bad.append((min(zip(rows.tolist(), cols.tolist())), str(err)))
-        if bad:
-            (k, l), why = min(bad)
-            raise ScheduleError(f"entry ({k + 1},{l + 1}): {why}")
-        object.__setattr__(self, "_critical_times", frozenset(times))
-
-    @cached_property
-    def _scatter(self) -> tuple[tuple[ex.Expr, np.ndarray, np.ndarray], ...]:
-        """Each distinct expression with the 0-based rows and columns it fills."""
-        where: dict[ex.Expr, tuple[list[int], list[int]]] = {}
+        columns: dict[ex.Expr, int] = {}
+        cells = []
         for (k, l), e in self.entries.items():
-            rows, cols = where.setdefault(e, ([], []))
-            rows.append(k - 1)
-            cols.append(l - 1)
-        return tuple((e, np.array(rows), np.array(cols)) for e, (rows, cols) in where.items())
-
-    @cached_property
-    def _cells(self) -> list[tuple[int, int, int]]:
-        """(row, column, table column) of every entry, in (row, column) order."""
-        return sorted((k, l, j) for j, (_, rows, cols) in enumerate(self._scatter)
-                      for k, l in zip(rows.tolist(), cols.tolist()))
+            if not (1 <= k <= self.dim and 1 <= l <= self.dim) or self.adjacency[k - 1, l - 1] == 0:
+                raise ScheduleError(f"entry ({k},{l}): edge {l} does not flow into edge {k} (support "
+                                    "violation: flow only takes place on edges of the network)")
+            cells.append((k - 1, l - 1, columns.setdefault(e, len(columns))))
+        cells.sort()
+        times: set[float] = set()
+        unchecked = dict(enumerate(columns))
+        for k, l, j in cells:  # each expression at its first entry, in (row, column) order
+            if j in unchecked:
+                try:
+                    times |= _accepted_times(unchecked.pop(j))
+                except ScheduleError as err:
+                    raise ScheduleError(f"entry ({k + 1},{l + 1}): {err}") from None
+        object.__setattr__(self, "_exprs", tuple(columns))
+        object.__setattr__(self, "_nonzeros", np.array(cells, dtype=np.intp).reshape(-1, 3))
+        object.__setattr__(self, "_critical_times", frozenset(times))
 
     @cached_property
     def layers(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """The nonzeros as (rows, columns, table columns) layers: layer L holds
         the L-th entry, by column, of each row that has that many."""
         return tuple((rows, cells[:, 0], cells[:, 1]) for rows, cells in
-                     _layers([k for k, _, _ in self._cells], [c[1:] for c in self._cells]))
+                     _layers(self._nonzeros[:, 0].tolist(), self._nonzeros[:, 1:]))
 
     def at(self, t: float) -> np.ndarray:
         """Dense value at one time."""
         return self.at_times([t])[0]
 
     def table(self, ts) -> np.ndarray:
-        """Column j: the j-th distinct expression of _scatter on ts; shape (len(ts), d)."""
+        """Column j: the j-th distinct expression, in entry order, on ts; shape (len(ts), d)."""
         ts = np.asarray(ts, dtype=float)
-        out = np.empty((ts.size, len(self._scatter)))
-        for j, (e, _, _) in enumerate(self._scatter):
+        out = np.empty((ts.size, len(self._exprs)))
+        for j, e in enumerate(self._exprs):
             out[:, j] = ex.evaluate(e, ts)
         return out
 
     def scatter(self, table: np.ndarray) -> np.ndarray:
         """Dense stack of a table, shape (len(table), dim, dim)."""
         out = np.zeros((len(table), self.dim, self.dim))
-        for j, (_, rows, cols) in enumerate(self._scatter):
-            out[:, rows, cols] = table[:, j:j + 1]
+        rows, cols, columns = self._nonzeros.T
+        out[:, rows, cols] = table[:, columns]
         return out
 
     def at_times(self, ts: np.ndarray) -> np.ndarray:
@@ -213,12 +208,12 @@ class TimeVaryingMatrix:
         if self.kind != FLOW:
             return None
         column: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-        for k, l, j in self._cells:
+        for k, l, j in self._nonzeros.tolist():
             column[l].append((k, j))
         classes: dict[tuple, int] = {}
         heads = [classes.setdefault(tuple(sorted(c)), len(classes)) for c in column]
         row: list[set[tuple[int, int]]] = [set() for _ in range(self.dim)]
-        for k, l, j in self._cells:
+        for k, l, j in self._nonzeros.tolist():
             row[k].add((heads[l], j))
         if any(len(r) > 1 for r in row):
             return None
@@ -296,16 +291,8 @@ def assemble_allocation(
     entries: Mapping[tuple[int, int], ExprLike],
 ) -> TimeVaryingMatrix:
     """Build the allocation-kind matrix from explicit (k, l) proportions."""
-    m = adj.shape[0]
-    parsed: dict[tuple[int, int], ex.Expr] = {}
-    for (k, l), value in entries.items():
-        if not (1 <= k <= m and 1 <= l <= m) or adj[k - 1, l - 1] == 0:
-            raise ScheduleError(
-                f"entry ({k},{l}): edge {l} does not flow into edge {k} "
-                "(support violation: flow only takes place on edges of the network)"
-            )
-        parsed[(k, l)] = _as_expr(value)
-    return TimeVaryingMatrix(dim=m, entries=parsed, kind=ALLOCATION, adjacency=adj)
+    parsed = {key: _as_expr(value) for key, value in entries.items()}
+    return TimeVaryingMatrix(dim=adj.shape[0], entries=parsed, kind=ALLOCATION, adjacency=adj)
 
 
 def embed_junctions(adj: np.ndarray, junctions: list[JunctionAllocation]) -> TimeVaryingMatrix:
@@ -393,7 +380,7 @@ def validate_stochastic(M: TimeVaryingMatrix, grid, tol: float) -> ValidationRep
     grid = tuple(float(t) for t in grid)
     if not grid:
         raise ScheduleError("validation grid is empty")
-    if tol <= 0:
+    if not tol > 0:
         raise ScheduleError("tolerance must be positive")
     table = M.table(grid)
 
@@ -414,7 +401,7 @@ def validate_stochastic(M: TimeVaryingMatrix, grid, tol: float) -> ValidationRep
 
     # from zero in (row, column) order, as a dense sum over rows adds them
     sums = np.zeros((len(grid), M.dim))
-    for _, l, j in M._cells:
+    for _, l, j in M._nonzeros.tolist():
         sums[:, l] += table[:, j]
     dev = np.abs(sums - 1.0)
     g_idx, l_idx = np.unravel_index(np.argmax(dev), dev.shape)
@@ -432,7 +419,7 @@ def validate_stochastic(M: TimeVaryingMatrix, grid, tol: float) -> ValidationRep
 
 def support_pattern(M: TimeVaryingMatrix, t: float, zero_tol: float = 1e-12) -> np.ndarray:
     """0/1 pattern of entries exceeding zero_tol in magnitude at time t."""
-    if zero_tol < 0:
+    if not zero_tol >= 0:
         raise ScheduleError("zero_tol must be nonnegative")
     return (np.abs(M.at(t)) > zero_tol).astype(np.int64)
 

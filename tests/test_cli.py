@@ -348,6 +348,10 @@ def _limit_memory():
     (["converge", "--grid", "1", "--horizon", "1e9"], 1, "more than 10**6 base times"),
     (["converge", "--tau", "1", "--horizon", "3", "--stride", "0.5",
       "--scenario", "s-2**52.json"], 1, "coincide"),
+    (["validate", "--tol", "inf"], 2, "--tol"),
+    (["validate", "--tol", "nan"], 2, "--tol"),
+    (["simulate", "--tol", "0", "--t-end", "1"], 2, "--tol"),
+    (["period", "--tol", "-1"], 2, "--tol"),
 ])
 def test_degenerate_arguments_fail_in_one_line(tmp_path, argv, code, needle):
     if argv[0] in ("simulate", "converge") and "--out" not in argv:

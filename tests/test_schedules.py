@@ -149,6 +149,24 @@ def test_assemble_allocation_and_support_violation():
         assemble_allocation(adj, {(1, 1): "1"})
 
 
+@pytest.mark.parametrize("key", [(0, 1), (-1, 2), (3, 1), (1, 1)])
+def test_direct_matrix_construction_refuses_keys_off_the_support(key):
+    # (0, 1) and (-1, 2) would wrap to the last row, (3, 1) lies past it, and
+    # (1, 1) is in range where the two-cycle's line graph has no edge
+    adj = line_graph_adjacency(helpers.two_cycle_graph())
+    entries = {(1, 2): parse_expr("1"), key: parse_expr("1")}
+    k, l = key
+    with pytest.raises(ScheduleError, match=rf"entry \({k},{l}\): edge {l} does not flow "
+                       rf"into edge {k} \(support violation"):
+        TimeVaryingMatrix(dim=2, entries=entries, kind="allocation", adjacency=adj)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_validate_stochastic_refuses_a_tolerance_not_above_zero(tol):
+    with pytest.raises(ScheduleError, match="tolerance must be positive"):
+        validate_stochastic(example1_matrix(), [0.0], tol)
+
+
 def test_edge_resolved_allocation_on_example1_topology():
     # same network, but proportions resolved per incoming edge
     adj = line_graph_adjacency(helpers.example1_graph())

@@ -209,8 +209,11 @@ def test_edge_cases_reach_the_paths_they_name():
     assert SWITCHING.table(times)[0].tolist() == [0.0, 1.0, 1.0, 0.0]
     assert len(_survey_support(SWITCHING, times, 1e-12).patterns) == 3
     assert len(_survey_support(SWITCHING, times, 0.0).patterns) == 2
+    for zero_tol in (-1e-12, math.nan):
+        with pytest.raises(ScheduleError, match="nonnegative"):
+            _survey_support(SWITCHING, times, zero_tol)
     with pytest.raises(ScheduleError, match="nonnegative"):
-        _survey_support(SWITCHING, times, -1e-12)
+        asymptotic_period(load_scenario("example1").matrix, None, math.nan)
     dropped, kept = (next(iter(_survey_support(AT_THRESHOLD, [0.0], tol).patterns.values()))
                      for tol in (EDGE_CASES["entry_equal_to_zero_tol"][1],
                                  EDGE_CASES["entry_one_ulp_above_zero_tol"][1]))
