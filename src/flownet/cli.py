@@ -10,8 +10,8 @@ Every command prints one JSON report (validate and period also copy it to
 --out): keys sorted, indented by 2, the same bytes as
 json.dumps(report, indent=2, sort_keys=True), with NaN and Infinity for
 non-finite values, which are the report's to show, so numpy's floating-point
-warnings are silenced while a command runs. A 0/1 matrix, such as a support
-pattern, is written as one filled byte block, not value by value.
+warnings are silenced while a command runs. A support pattern, held as a
+spectral.PatternRows, is written as one filled byte block from its array.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import FlownetError, HypothesisError, SpectralError
 from .evolution import _MAX_POINTS, l1_norm, propagate
 from .scenario import Scenario, load_scenario, validation_summary
 from .spectral import (
+    PatternRows,
     asymptotic_period,
     convergence_diagnostic,
     default_sample_times,
@@ -39,43 +39,29 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _bits(rows) -> np.ndarray | None:
-    """rows as a uint8 array if they are equal-length, nonempty lists of the
-    plain ints 0 and 1, else None. type, not isinstance: a bool is an int
-    that json writes as true/false."""
-    if (set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1 or not rows[0]
-            or set(map(type, chain.from_iterable(rows))) != {int}
-            or not set(chain.from_iterable(rows)) <= {0, 1}):
-        return None
-    return np.array(rows, np.uint8)
-
-
 def _to_json(obj, indent: str = "\n") -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for str keys.
 
     That call runs json's pure-Python encoder, one generator step per value;
-    here a 0/1 matrix (see _bits) is one byte block of "0" and its separator
-    per entry, the bits added into the digits, decoded and cut into rows.
+    here a PatternRows is one byte block of "0" and its separator per entry,
+    its array's bits added into the digits, decoded and cut into rows.
     """
-    inner = indent + "  "
+    inner, opening, closing = indent + "  ", "[", "]"
     if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("report keys must be str")
         opening, closing = "{", "}"
         items = [f"{json.dumps(key)}: {_to_json(value, inner)}"
                  for key, value in sorted(obj.items())]
+    elif isinstance(obj, PatternRows):
+        bits, sep = obj.array, "," + inner + "  "
+        cells = bytearray(("0" + sep).encode() * bits.size)
+        np.frombuffer(cells, np.uint8)[::len(sep) + 1] += bits.ravel()
+        text, width = cells.decode(), bits.shape[1] * (len(sep) + 1)
+        items = [f"[{inner}  {text[i:i + width - len(sep)]}{inner}]"
+                 for i in range(0, len(text), width)]
     elif isinstance(obj, (list, tuple)):
-        opening, closing = "[", "]"
-        bits = _bits(obj)
-        if bits is None:
-            items = [_to_json(value, inner) for value in obj]
-        else:
-            sep = "," + inner + "  "
-            cells = bytearray(("0" + sep).encode() * bits.size)
-            np.frombuffer(cells, np.uint8)[::len(sep) + 1] += bits.ravel()
-            text, width = cells.decode(), bits.shape[1] * (len(sep) + 1)
-            items = [f"[{inner}  {text[i:i + width - len(sep)]}{inner}]"
-                     for i in range(0, len(text), width)]
+        items = [_to_json(value, inner) for value in obj]
     else:
         return json.dumps(obj)
     if not obj:

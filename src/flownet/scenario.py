@@ -50,7 +50,7 @@ from .schedules import (
     regularity_diagnostic,
     validate_stochastic,
 )
-from .spectral import _survey_support, default_sample_times
+from .spectral import PatternRows, _survey_support, default_sample_times
 
 BUNDLED = ("example1", "example2", "junction")
 
@@ -67,7 +67,6 @@ class Tolerances:
 @dataclass(frozen=True)
 class Scenario:
     graph: NetworkGraph
-    mode: str
     matrix: TimeVaryingMatrix
     initial: InitialData
     start_time: float
@@ -209,7 +208,6 @@ def scenario_from_dict(doc) -> Scenario:
     )
     return Scenario(
         graph=g,
-        mode=mode,
         matrix=matrix,
         initial=initial,
         start_time=_scalar(doc, "s", "/s", 0.0),
@@ -303,7 +301,9 @@ def validation_summary(sc: Scenario) -> dict:
     Checks: column-stochasticity and nonnegativity on the validation grid,
     strong connectivity of the support pattern at the period sample times,
     nonnegativity of the initial data on the simulation grid, and the
-    total-variation regularity diagnostic (reported, never gating).
+    total-variation regularity diagnostic (reported, never gating). Each
+    support pattern is a spectral.PatternRows: a list of its rows whose .array
+    the CLI's JSON writer reads.
     """
     grid = np.linspace(0.0, 1.0, sc.validation_grid)
     report = validate_stochastic(sc.matrix, grid, sc.tolerances.stochastic)
@@ -318,7 +318,7 @@ def validation_summary(sc: Scenario) -> dict:
         "support": {
             "sample_times": len(sample_times),
             "distinct_patterns": len(survey.patterns),
-            "patterns": {h: p.tolist() for h, p in sorted(survey.patterns.items())},
+            "patterns": {h: PatternRows(p) for h, p in sorted(survey.patterns.items())},
             "reducible_times": list(survey.reducible_times),
         },
         "initial_min_density": min_density,

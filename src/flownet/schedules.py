@@ -393,7 +393,7 @@ def validate_stochastic(M: TimeVaryingMatrix, grid, tol: float) -> ValidationRep
     neg = CheckResult(
         name="nonnegative_entries",
         passed=min_entry >= -tol,
-        worst=max(0.0, -min_entry),
+        worst=0.0 if min_entry >= 0 else -min_entry,  # NaN stays NaN
         witness_time=grid[g_idx],
         witness_index=[int(k_idx) + 1, int(l_idx) + 1],
         witness_value=min_entry,

@@ -52,7 +52,7 @@ def peripheral_count(A: np.ndarray) -> int:
     """
     A = np.asarray(A, dtype=float)
     col_dev = np.abs(A.sum(axis=0) - 1.0).max()
-    if col_dev > 1e-9:
+    if not col_dev <= 1e-9:  # NaN too
         raise SpectralError(f"matrix is not column-stochastic (column sum off by {col_dev:.3e})")
     eigenvalues = np.linalg.eigvals(A)
     return int(np.sum(np.abs(eigenvalues) >= 1.0 - _PERIPHERAL_EPS))
@@ -62,6 +62,19 @@ def pattern_hash(pattern: np.ndarray) -> str:
     """Stable short hash of a 0/1 support pattern."""
     data = np.ascontiguousarray(pattern, dtype=np.int8)
     return hashlib.sha256(data.tobytes()).hexdigest()[:16]
+
+
+class PatternRows(list):
+    """A support pattern as a report holds it: its rows as lists of int, and
+    a uint8 copy of its 0/1 array as .array, which the CLI's JSON writer
+    reads. A value: edits to the list do not reach .array."""
+
+    def __init__(self, pattern: np.ndarray):
+        if not (isinstance(pattern, np.ndarray) and pattern.ndim == 2 and pattern.size
+                and pattern.dtype.kind in "iu" and pattern.min() >= 0 and pattern.max() <= 1):
+            raise SpectralError("a support pattern is a nonempty 2-D integer array of 0 and 1")
+        super().__init__(pattern.tolist())
+        self.array = pattern.astype(np.uint8)
 
 
 def active_subpattern(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +109,7 @@ class PeriodReport:
             "tau": self.tau,
             "samples": [s.to_json() for s in self.samples],
             "distinct_patterns": {
-                h: p.tolist() for h, p in sorted(self.distinct_patterns.items())
+                h: PatternRows(p) for h, p in sorted(self.distinct_patterns.items())
             },
             "reducible_times": [],  # asymptotic_period raises on any
         }

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -572,6 +573,26 @@ def test_weight_of_an_overflowing_constant_fails_without_traceback(tmp_path, com
             assert json.loads(done.stdout)["passed"] is False
         else:
             assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
+def test_nan_schedule_value_fails_forced_commands_in_one_line(tmp_path):
+    # 0.5 + x - x with x = (2cos(2 pi t))^2000: inf - inf is NaN at t = 0
+    doc = {"graph": {"n": 2, "edges": [[1, 2], [2, 1], [2, 1]]}, "mode": "flow",
+           "weights": {"1,1": "1", "2,3": "0.5",
+                       "2,2": "0.5 + (2*cos(2*pi*t))^2000 - (2*cos(2*pi*t))^2000"},
+           "initial": {"1": "1", "2": "1", "3": "1"}}
+    helpers.write_scenario(tmp_path, doc)
+    done = run_process(["validate", "--scenario", "scenario.json"], tmp_path)
+    assert (done.returncode, done.stderr) == (1, ""), done.stderr
+    negative, columns = json.loads(done.stdout)["stochastic"]["checks"]
+    assert negative["name"] == "nonnegative_entries" and negative["passed"] is False
+    assert math.isnan(negative["witness_value"]) and math.isnan(negative["worst"])
+    assert math.isnan(columns["worst"])
+    for command in (["period"], ["converge", "--out", "c.csv"]):
+        done = run_process(command + ["--force", "--scenario", "scenario.json"], tmp_path)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == ("error: matrix is not column-stochastic "
+                               "(column sum off by nan)\n"), done.stderr
 
 
 @pytest.mark.parametrize("command", ["validate", "period"])

@@ -2,7 +2,8 @@
 
 Every report the CLI prints goes through cli._to_json, which must give the
 same bytes as the json module on any payload with str keys, and refuse any
-other key. Its block path for 0/1 matrices is tested on its own below.
+other key. Its block path for a support pattern, a spectral.PatternRows, is
+tested on its own below.
 """
 
 import json
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flownet.cli import _bits, _to_json
+from flownet.cli import _to_json
+from flownet.errors import SpectralError
+from flownet.spectral import PatternRows
 
 # quotes, backslashes, control characters and non-ASCII, which json escapes
 _TRICKY = '"\\/\x00\x07\x1f\x7f\b\f\n\r\té€ \ud800\U0001f600'
@@ -68,39 +71,50 @@ def test_writer_gives_the_json_module_bytes_or_refuses_a_non_str_key(obj):
         assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
-# A 0/1 matrix (equal-length, nonempty lists of the plain ints 0 and 1) is
-# written as one filled byte block; anything else near it takes the general path.
-_PATTERN = np.random.default_rng(150).integers(0, 2, (150, 150)).tolist()
+# A support pattern reaches the writer as a PatternRows, written as one filled
+# byte block from its array; a plain list, 0/1 or not, takes the general path.
+_PATTERN = np.random.default_rng(150).integers(0, 2, (150, 150))
 
 
-@pytest.mark.parametrize("obj,block", [
-    ({"patterns": _PATTERN}, True),
-    ({"a": {"b": {"patterns": _PATTERN}}}, True),
-    ([[0, 1], [1]], False),
-    ([[0, True]], False),
-    ([[0, 2]], False),
-    ([[]], False),
-    (([0, 1], [1, 0]), True),
+@pytest.mark.parametrize("obj", [
+    {"patterns": PatternRows(_PATTERN)},
+    {"a": {"b": {"patterns": PatternRows(_PATTERN)}}},
+    [[0, 1], [1]],
+    [[0, True]],
+    [[0, 2]],
+    [[]],
+    ([0, 1], [1, 0]),
 ], ids=["150x150-depth-1", "150x150-depth-3", "ragged", "bool", "two", "empty-row",
         "tuple-of-lists"])
-def test_writer_examples_give_the_json_module_bytes(obj, block):
+def test_writer_examples_give_the_json_module_bytes(obj):
     assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
-    matrix = obj
-    while isinstance(matrix, dict):
-        (matrix,) = matrix.values()
-    assert (_bits(matrix) is not None) == block
 
 
-matrices = st.integers(1, 40).flatmap(
-    lambda n: st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
-                       min_size=1, max_size=40))
+matrices = st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+                     st.sampled_from([np.int64, np.int8, np.uint8])).map(
+    lambda a: np.random.default_rng(a[2]).integers(0, 2, a[:2]).astype(a[3]))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(matrices, st.integers(0, 3))
-def test_writer_block_gives_the_json_module_bytes(rows, depth):
-    obj = rows
+@example(_PATTERN, 1)
+def test_writer_block_gives_the_json_module_bytes(pattern, depth):
+    obj = rows = PatternRows(pattern)
     for level in range(depth):
         obj = {f"k{level}": obj, "n": level}
-    assert _bits(rows) is not None
+    assert rows == pattern.tolist() and np.array_equal(rows.array, pattern)
     assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("pattern", [
+    np.array([0, 1]),
+    np.zeros((0, 3), np.int64),
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0, 2], [1, 0]]),
+    np.array([[0, -1], [1, 0]]),
+    np.array([[False, True], [True, False]]),
+    [[0, 1], [1, 0]],
+], ids=["1-d", "empty", "float", "two", "minus-one", "bool", "list"])
+def test_pattern_rows_refuse_anything_but_a_0_1_integer_matrix(pattern):
+    with pytest.raises(SpectralError, match="support pattern"):
+        PatternRows(pattern)

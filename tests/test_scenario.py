@@ -17,7 +17,7 @@ from flownet.spectral import asymptotic_period, default_sample_times
 
 def test_bundled_example1_reproduces_flow_setup():
     sc = load_scenario("example1")
-    assert sc.mode == "flow"
+    assert sc.matrix.kind == "flow"
     assert sc.graph.n == 5 and sc.graph.m == 6
     assert sc.resolution == 400
     assert np.allclose(sc.matrix.at(0.0), helpers.example1_matrix_value(0.0), atol=1e-15)
@@ -34,7 +34,7 @@ def test_bundled_example2_is_column_stochastic():
 
 def test_bundled_junction_embeds_block():
     sc = load_scenario("junction")
-    assert sc.mode == "atf"
+    assert sc.matrix.kind == "allocation"
     value = sc.matrix.at(0.0)
     assert np.allclose(value[[2, 3, 4], 0], [0.5, 1 / 3, 1 / 6], atol=1e-15)
     assert np.allclose(value[[2, 3, 4], 1], [0.0, 0.25, 0.75], atol=1e-15)

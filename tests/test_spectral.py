@@ -38,8 +38,9 @@ def test_peripheral_count_permutation():
 
 
 def test_peripheral_count_rejects_non_stochastic():
-    with pytest.raises(SpectralError):
-        peripheral_count(np.array([[0.5, 0.0], [0.0, 1.0]]))
+    for A in ([[0.5, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.nan]]):
+        with pytest.raises(SpectralError, match="not column-stochastic"):
+            peripheral_count(np.array(A))
 
 
 def test_peripheral_count_examples_match_cyclic_index():
