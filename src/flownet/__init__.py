@@ -44,7 +44,6 @@ from .evolution import (
     boundary_residual,
     l1_norm,
     propagate,
-    propagate_many,
 )
 from .spectral import (
     ConvergenceTrace,
@@ -75,8 +74,7 @@ __all__ = [
     "assemble_weighted_adjacency", "assemble_allocation", "embed_junctions",
     "make_junction", "validate_stochastic", "support_pattern",
     "regularity_diagnostic",
-    "InitialData", "EdgeDensityField", "propagate", "propagate_many",
-    "l1_norm", "boundary_residual",
+    "InitialData", "EdgeDensityField", "propagate", "l1_norm", "boundary_residual",
     "PeriodReport", "ConvergenceTrace", "peripheral_count", "asymptotic_period",
     "strictly_positive_shortcut", "convergence_diagnostic", "default_sample_times",
     "Scenario", "load_scenario", "bundled_scenario_path", "validation_summary",

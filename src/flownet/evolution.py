@@ -44,18 +44,18 @@ the state and the table, plus one chunk's stacks. The layout is kept too: a
 powered state (k0 >= 1) is Fortran-ordered, as einsum returns it, and an
 unpowered one is the data's C-ordered array; l1_norm sums in layout order.
 
-Many query times share work through the one-period recurrence. Two times
-with the same frac(t) and frac(t - s) have bitwise the same phases, hence
-the same A, and data points, and u(x, t + n) = A^n u(x, t). _chain_states,
-the one chain engine, keys chains on that pair of floats, with no N-point
-array per time. A chain's first time is headed by a closed form; each later
-one advances the chain's state by one pass over A's nonzeros per period
-(_advance), bitwise the dense mat-vec for a finite state, on the values of
-M's layers at its phases, nnz(M) per grid point. A gap of n periods costs
-n nnz(M) multiply-adds per point; the time heads the chain anew when the
-closed form's powering costs less (_power_cost). propagate_many chains the
-states, headed by propagate; spectral.convergence_diagnostic chains the
-differences u(t + tau) - u(t) of a whole tau, which the recurrence maps alike.
+spectral.convergence_diagnostic's differences e(t) = u(t + tau) - u(t) share
+work through the one-period recurrence. Two times with the same frac(t) and
+frac(t - s) have bitwise the same phases, hence the same A, and data points,
+and so do t + tau and t for a whole tau: e(t + n) = A^n e(t).
+_tau_differences keys chains of differences on that pair of floats, with no
+N-point array per time. A chain's first time is headed by two closed forms,
+propagate(t + tau) - propagate(t); each later one advances the chain's e by
+one pass over A's nonzeros per period (_advance), bitwise the dense mat-vec
+for a finite e, on the values of M's layers at its phases, nnz(M) per grid
+point. A gap of n periods costs n nnz(M) multiply-adds per point; the time
+heads the chain anew when the two closed forms' powering costs less
+(_power_cost at k and k + tau crossings).
 
 A field's CSV is formatted on every CPU of the process's affinity mask: its
 edges are cut into contiguous blocks, one per CPU, at most one per edge and
@@ -75,7 +75,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO, Union
+from typing import Iterator, TextIO, Union
 
 import numpy as np
 
@@ -395,64 +395,34 @@ def _advance(M: TimeVaryingMatrix, weights: list[np.ndarray], u: np.ndarray) -> 
     return out
 
 
-def _chain_states(M: TimeVaryingMatrix, s: float, times: Iterable[float], N: int,
-                  head: Callable[[float], np.ndarray], head_cost: Callable[[int], int]
-                  ) -> Iterator[tuple[float, np.ndarray, bool]]:
-    """(t, state, last) at each of the non-decreasing times, in order.
-
-    Times of equal frac(t) and frac(t - s) form a chain (see the module
-    docstring), headed by head(t), a closed-form state that costs
-    head_cost(k) multiply-adds per grid point at k crossings. state is the
-    chain's own array, not to be changed; last marks the chain's last time,
-    after which its state and layer values are dropped.
-    """
-    if N < 1:
-        raise EvolutionError(f"resolution must be at least 1, got {N}")
-    times = [float(t) for t in times]
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise EvolutionError("query times must be non-decreasing")
-    if times and times[0] < s:
-        raise EvolutionError(f"query time {times[0]} precedes start time {s}")
+def _tau_differences(M: TimeVaryingMatrix, f: InitialData, s: float, tau: int,
+                     times: list[float], N: int) -> Iterator[np.ndarray]:
+    """e(t) = u(t + tau) - u(t) on the N-point grid at each of the
+    non-decreasing times t >= s, in order, from one chain per frac(t) and
+    frac(t - s) (see the module docstring). A chain's e is its own array, not to be changed, and is
+    dropped after the chain's last time."""
     xs = midpoints(N)
     # Each time's chain key, which fixes its phases and data points, and its
     # crossings at grid point 0 (all points of a chain cross equally often).
     plan = [((ft, fd), kd + math.floor(xs[0] + fd))
             for ft, fd, kd in (_split(s, t) for t in times)]
     last_use = {key: i for i, (key, _) in enumerate(plan)}
-
-    def stream() -> Iterator[tuple[float, np.ndarray, bool]]:
-        # key -> (crossings at grid point 0, state, _layer_weights of its phases)
-        chains: dict[tuple[float, float], tuple] = {}
-        for i, (t, (key, k)) in enumerate(zip(times, plan)):
-            k0, u, weights = chains.pop(key, (None, None, None))
-            # k - k0 advances over A's nonzeros, unless the closed form multiplies
-            # less: then the time heads the chain anew (a repeated time does neither)
-            if k0 is None or (k - k0) * len(M.entries) > head_cost(k):
-                u = head(t)
-            elif k > k0:
-                if weights is None:
-                    weights = _layer_weights(M, _characteristics(xs, s, t)[0])
-                for _ in range(k - k0):
-                    u = _advance(M, weights, u)
-            last = last_use[key] == i
-            if not last:
-                chains[key] = k, u, weights
-            yield t, u, last
-
-    return stream()
-
-
-def propagate_many(
-    M: TimeVaryingMatrix, f: InitialData, s: float, times: Iterable[float], N: int
-) -> Iterator[EdgeDensityField]:
-    """The fields propagate would give at each of the non-decreasing times, in
-    order, from one chain of states per frac(t) and frac(t - s). Each yielded
-    field owns its values: a copy in the chain's layout, but for a chain's
-    last time."""
-    states = _chain_states(M, s, times, N, lambda t: propagate(M, f, s, t, N).values,
-                           lambda k: _power_cost(M, k))
-    return (EdgeDensityField(values=u if last else u.copy(order="K"), resolution=N,
-                             time=t, origin=float(s)) for t, u, last in states)
+    # key -> (crossings at grid point 0, e, _layer_weights of its phases)
+    chains: dict[tuple[float, float], tuple] = {}
+    for i, (t, (key, k)) in enumerate(zip(times, plan)):
+        k0, e, weights = chains.pop(key, (None, None, None))
+        # k - k0 advances over A's nonzeros, unless the two closed forms multiply
+        # less: then the time heads the chain anew (a repeated time does neither)
+        if k0 is None or (k - k0) * len(M.entries) > _power_cost(M, k) + _power_cost(M, k + tau):
+            e = propagate(M, f, s, t + tau, N).values - propagate(M, f, s, t, N).values
+        elif k > k0:
+            if weights is None:
+                weights = _layer_weights(M, _characteristics(xs, s, t)[0])
+            for _ in range(k - k0):
+                e = _advance(M, weights, e)
+        if last_use[key] > i:
+            chains[key] = k, e, weights
+        yield e
 
 
 def l1_norm(u: EdgeDensityField) -> tuple[np.ndarray, float]:

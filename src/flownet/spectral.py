@@ -20,9 +20,10 @@ each sample's eigensolve on the survey's table, one dense matrix (C, or M for
 an allocation schedule) at a time.
 
 convergence_diagnostic measures how fast the flow settles: the L1 distance
-delta(t) between u(t) and u(t + tau), read off one chain of the differences
-e(t) = u(t + tau) - u(t) on evolution's chain engine, which holds no state
-beyond its chains and subtracts two states only where a chain is headed.
+delta(t) between u(t) and u(t + tau), read off the differences
+e(t) = u(t + tau) - u(t) that evolution._tau_differences chains, one chain
+per phase pair, holding no state beyond its chains and subtracting two
+closed-form states only where a chain is headed.
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import evolution
-from .errors import HypothesisError, SpectralError
-from .evolution import (_MAX_POINTS, _MAX_SPAN, InitialData, _chain_states, _power_cost,
-                        csv_file)
+from .errors import EvolutionError, HypothesisError, SpectralError
+from .evolution import _MAX_POINTS, _MAX_SPAN, InitialData, _tau_differences, csv_file
 from .graph import cyclic_index, is_strongly_connected
 from .schedules import TimeVaryingMatrix, support_pattern
 
@@ -253,10 +252,10 @@ def convergence_diagnostic(
 
     For a whole tau, t and t + tau share their phases and data points, so
     e(t) = u(t + tau) - u(t) follows the one-period recurrence e(t + n) =
-    A^n e(t): one chain of differences (evolution._chain_states) gives every
-    delta. A head subtracts two closed-form states; later times advance e
-    itself, rounding relative to e, not to ||u||, down to the mass that the
-    head's rounding leaves in e.
+    A^n e(t): evolution._tau_differences gives every delta from chains of
+    differences. A head subtracts two closed-form states, propagate(t + tau)
+    - propagate(t); later times advance e itself, rounding relative to e, not
+    to ||u||, down to the mass that the head's rounding leaves in e.
     """
     if tau < 1:
         raise HypothesisError(f"tau must be a positive whole number of periods, got {tau}")
@@ -283,12 +282,10 @@ def convergence_diagnostic(
     if len(set(base_times)) < len(base_times):  # s + j*stride rounds to the float grid of s
         raise HypothesisError(f"stride {stride!r} is too fine for s = {s!r}: base times coincide")
 
-    def state(t: float) -> np.ndarray:  # looked up on the module, where tests count it
-        return evolution.propagate(M, f, s, t, N).values
-
-    chain = _chain_states(M, s, base_times, N, lambda t: state(t + tau) - state(t),
-                          lambda k: _power_cost(M, k) + _power_cost(M, k + tau))
-    deviation = [float(np.abs(e).sum() / N) for _, e, _ in chain]
+    if N < 1:
+        raise EvolutionError(f"resolution must be at least 1, got {N}")
+    deviation = [float(np.abs(e).sum() / N)
+                 for e in _tau_differences(M, f, s, tau, base_times, N)]
     elapsed = [t - s for t in base_times]
 
     es, ds = np.asarray(elapsed), np.asarray(deviation)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -32,6 +33,21 @@ def load_perfbench(name: str):
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+def assert_same_bytes(got, want, what: str = "output") -> None:
+    """Fail, naming the first differing offset and about 40 characters of
+    context on each side of it, unless got == want (both str or both bytes).
+
+    A plain assert on two reports of half a megabyte lets pytest's assertion
+    rewriting diff them in full, which took minutes where this takes
+    milliseconds."""
+    if got == want:
+        return
+    at = len(os.path.commonprefix([got, want]))
+    lo = max(0, at - 40)
+    raise AssertionError(f"{what} differs at offset {at} (lengths {len(got)} and "
+                         f"{len(want)}): got {got[lo:at + 40]!r}, want {want[lo:at + 40]!r}")
 
 
 EXAMPLE1_EDGES = [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 3)]
@@ -275,7 +291,7 @@ def edge_space_evolve(M: TimeVaryingMatrix, f: InitialData, s: float, t: float, 
 
 
 def dense_advance(M: TimeVaryingMatrix, phases: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One period of a propagate_many chain at the grid phases as the einsum on
+    """One period of a chain of differences at the grid phases as the einsum on
     A's dense (m, m, N) stack, as chains advanced before they went over A's
     nonzeros: the oracle for evolution._advance."""
     columns = np.ascontiguousarray(M.at_times(phases).transpose(2, 1, 0))

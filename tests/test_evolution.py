@@ -17,7 +17,6 @@ from flownet import (
     build_graph,
     l1_norm,
     propagate,
-    propagate_many,
 )
 from flownet import evolution
 from flownet.evolution import PiecewiseProfile, _evolve, midpoints
@@ -93,8 +92,6 @@ def test_non_finite_and_unresolvable_times_are_rejected(s, t):
         _evolve(M, f, s, t, [0.5])
     with pytest.raises(EvolutionError):
         propagate(M, f, s, t, 10)
-    with pytest.raises(EvolutionError):
-        list(propagate_many(M, f, s, [t], 10))
 
 
 def test_last_resolvable_span_is_evaluated():

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from flownet.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,7 +65,7 @@ def _run(case: str, workdir: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, tmp_path):
     for name, data in _run(case, tmp_path).items():
-        assert data == (GOLDEN / name).read_bytes(), f"{name} differs from its golden file"
+        helpers.assert_same_bytes(data, (GOLDEN / name).read_bytes(), f"{name}, against its golden file,")
 
 
 def record(cases=CASES) -> None:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from flownet.cli import _to_json
 from flownet.errors import SpectralError
 from flownet.spectral import PatternRows
@@ -68,7 +69,7 @@ def test_writer_gives_the_json_module_bytes_or_refuses_a_non_str_key(obj):
         with pytest.raises(TypeError):
             _to_json(obj)
     else:
-        assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        helpers.assert_same_bytes(_to_json(obj), json.dumps(obj, indent=2, sort_keys=True))
 
 
 # A support pattern reaches the writer as a PatternRows, written as one filled
@@ -87,7 +88,7 @@ _PATTERN = np.random.default_rng(150).integers(0, 2, (150, 150))
 ], ids=["150x150-depth-1", "150x150-depth-3", "ragged", "bool", "two", "empty-row",
         "tuple-of-lists"])
 def test_writer_examples_give_the_json_module_bytes(obj):
-    assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    helpers.assert_same_bytes(_to_json(obj), json.dumps(obj, indent=2, sort_keys=True))
 
 
 matrices = st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
@@ -103,7 +104,7 @@ def test_writer_block_gives_the_json_module_bytes(pattern, depth):
     for level in range(depth):
         obj = {f"k{level}": obj, "n": level}
     assert rows == pattern.tolist() and np.array_equal(rows.array, pattern)
-    assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    helpers.assert_same_bytes(_to_json(obj), json.dumps(obj, indent=2, sort_keys=True))
 
 
 @pytest.mark.parametrize("pattern", [

@@ -10,6 +10,7 @@ from flownet import (
     load_scenario,
     validation_summary,
 )
+from flownet.cli import main
 from flownet.evolution import midpoints
 from flownet.scenario import scenario_from_dict
 from flownet.spectral import asymptotic_period, default_sample_times
@@ -345,13 +346,23 @@ def test_summary_is_json_serializable():
     json.dumps(summary)
 
 
-def test_validation_summary_flags_negative_initial_density(tmp_path):
+# (2*x)^5000 overflows to inf for x > 0.58, which a min() alone does not see
+@pytest.mark.parametrize("density,least", [("x - 0.5", 0.5 / 64 - 0.5),
+                                           ("(2*x)^5000", np.nan)],
+                         ids=["negative", "overflow"])
+def test_validation_summary_flags_negative_initial_density(tmp_path, capsys, density, least):
     doc = helpers.base_flow_scenario()
-    doc["initial"]["1"] = "x - 0.5"
+    doc["initial"]["1"] = density
     path = helpers.write_scenario(tmp_path, doc)
-    summary = validation_summary(load_scenario(path))
-    assert summary["initial_min_density"] < 0
+    with np.errstate(over="ignore"):  # the overflow is the case under test
+        summary = validation_summary(load_scenario(path))
+    np.testing.assert_equal(summary["initial_min_density"], least)
     assert not summary["passed"]
+    code = main(["simulate", "--scenario", str(path), "--t-end", "3.5",
+                 "--out", str(tmp_path / "field.csv")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: scenario failed validation") and err.count("\n") == 1, err
 
 
 # One document parses each distinct (source, variable) pair once: its weights,

@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from flownet import (
+    EvolutionError,
     HypothesisError,
     SpectralError,
     assemble_allocation,
@@ -277,6 +278,14 @@ def test_convergence_rejects_degenerate_parameters(tau, horizon, stride):
     f = helpers.constant_initial([1.0] * 6)
     with pytest.raises(HypothesisError):
         convergence_diagnostic(M, f, 0.0, tau, horizon=horizon, N=10, stride=stride)
+
+
+def test_convergence_rejects_an_empty_grid_or_mismatched_data():
+    M = example1_matrix()
+    with pytest.raises(EvolutionError, match="resolution must be at least 1, got 0"):
+        convergence_diagnostic(M, helpers.constant_initial([1.0] * 6), 0.0, 1, horizon=2.0, N=0)
+    with pytest.raises(EvolutionError, match="initial data has 5 edges, matrix has 6"):
+        convergence_diagnostic(M, helpers.constant_initial([1.0] * 5), 0.0, 1, horizon=2.0, N=10)
 
 
 def test_stride_must_advance_the_last_base_time():
