@@ -10,7 +10,8 @@ Grammar (whitespace insignificant, decimal number literals)::
 
 The single free variable defaults to ``t`` (time); initial-density profiles
 reuse the same grammar with variable ``x``. Exponents must be integer
-literals. Evaluation accepts scalars or numpy arrays; sin/cos are in radians.
+literals below 2**53 in magnitude. Evaluation accepts scalars or numpy arrays;
+sin/cos are in radians.
 """
 
 from __future__ import annotations
@@ -179,10 +180,14 @@ class _Parser:
         if kind != _NUMBER:
             raise ExprSyntaxError("expected integer exponent", at)
         self.advance()
-        value = float(text)
-        if value != int(value) or "." in text:
+        if "." in text:
             raise ExprSyntaxError(f"exponent must be an integer, got {text!r}", at)
-        return sign * int(value)
+        # evaluate powers through a float, where (-1.0)**(2**53 + 1) == 1.0; the length
+        # goes first, as int() refuses more than 4300 digits
+        digits = text.lstrip("0") or "0"
+        if len(digits) > 16 or int(digits) >= 2 ** 53:
+            raise ExprSyntaxError("exponent must be below 2^53 in magnitude", at)
+        return sign * int(digits)
 
     def atom(self) -> tuple[Expr, int]:
         # the atoms nested in this one recurse first, so they are counted on the way in
@@ -334,11 +339,13 @@ def depends_on_var(e: Expr) -> bool:
 
 
 def _affine_in_var(e: Expr):
-    """(slope, intercept) if e is affine in the free variable, else None."""
-    if isinstance(e, Num):
-        return (0.0, e.value)
-    if isinstance(e, Pi):
-        return (0.0, math.pi)
+    """(slope, intercept) if e is affine in the free variable, else None. A variable-free
+    subtree folds through evaluate, as the schedule tables do: None where that raises."""
+    if not depends_on_var(e):
+        try:
+            return (0.0, evaluate(e, 0.0))
+        except ExprEvalError:
+            return None
     if isinstance(e, Var):
         return (1.0, 0.0)
     if isinstance(e, Neg):
@@ -362,24 +369,8 @@ def _affine_in_var(e: Expr):
         if b[0] == 0.0 and b[1] != 0.0:
             return (a[0] / b[1], a[1] / b[1])
         return None
-    if isinstance(e, Power):
-        base = _affine_in_var(e.base)
-        if base is None:
-            return None
-        if e.exponent == 1:
-            return base
-        if base[0] == 0.0:
-            try:
-                return (0.0, base[1] ** e.exponent)
-            except (ZeroDivisionError, OverflowError):
-                return None
-        return None
-    if isinstance(e, Trig):
-        line = _trig_line(e)
-        if line is not None and line[0] == 0.0:
-            f = math.sin if e.func == "sin" else math.cos
-            return (0.0, f(line[1]))
-        return None
+    if isinstance(e, Power) and e.exponent == 1:
+        return _affine_in_var(e.base)
     return None
 
 

@@ -247,6 +247,12 @@ def _junction_matrix(g: NetworkGraph, junctions_doc, memo: dict) -> TimeVaryingM
         for key, edges in (("in", incoming), ("out", outgoing)):
             _require(isinstance(edges, list) and edges and all(map(_is_int, edges)),
                      f"{key!r} must be a nonempty list of edge numbers", f"{pointer}/{key}")
+        if "vertex" in jdoc:  # edges outside 1..m are left to embed_junctions
+            ends = {g.edges[l - 1][1] for l in incoming if 1 <= l <= g.m}
+            ends |= {g.tail(k) for k in outgoing if 1 <= k <= g.m}
+            _require(_is_int(jdoc["vertex"]) and ends <= {jdoc["vertex"]},
+                     "'vertex' must be the head of every 'in' edge and the tail of every 'out' edge",
+                     f"{pointer}/vertex")
         _require(isinstance(rows, list) and rows, "'matrix' must be a nonempty list of rows", f"{pointer}/matrix")
         parsed_rows = []
         for r, row in enumerate(rows):
@@ -312,8 +318,10 @@ def validation_summary(sc: Scenario) -> dict:
     survey = _survey_support(sc.matrix, sample_times, sc.tolerances.zero)
 
     density = sc.initial.evaluate(midpoints(sc.resolution))
-    # NaN, which fails the gate, where a density overflows or is undefined
-    min_density = float(density.min()) if np.isfinite(density).all() else np.nan
+    # NaN, which fails the gate, where a density overflows or is undefined; two
+    # reductions test that without a temporary the size of the grid
+    low, high = float(density.min()), float(density.max())
+    min_density = low if math.isfinite(low) and math.isfinite(high) else math.nan
 
     summary = {
         "stochastic": report.to_json(),

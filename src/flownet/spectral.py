@@ -34,9 +34,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EvolutionError, HypothesisError, SpectralError
+from .errors import EvolutionError, GraphError, HypothesisError, SpectralError
 from .evolution import _MAX_POINTS, _MAX_SPAN, InitialData, _tau_differences, csv_file
-from .graph import cyclic_index, is_strongly_connected
+from .graph import cyclic_index
 from .schedules import TimeVaryingMatrix, support_pattern
 
 
@@ -160,10 +160,9 @@ def _survey_support(M: TimeVaryingMatrix, sample_times, zero_tol: float) -> _Sup
         pattern = support_pattern(M, float(t), zero_tol)
         digest = digests[row] = pattern_hash(pattern)
         patterns[digest] = pattern
-        active, sub = active_subpattern(pattern)
-        if active.size and is_strongly_connected(sub):
-            cyclic_indices[digest] = cyclic_index(sub)
-        else:
+        try:  # cyclic_index checks strong connectivity itself; no active edge fails it too
+            cyclic_indices[digest] = cyclic_index(active_subpattern(pattern)[1])
+        except GraphError:
             cyclic_indices[digest] = None
             reducible.append(t)
     hashes = tuple(digests[row] for row in rows)

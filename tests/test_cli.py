@@ -454,7 +454,7 @@ def _foreign_digits(value, digits):
 @st.composite
 def _fragments(draw, old):
     """One JSON fragment to put in place of the value old."""
-    kind = draw(st.sampled_from(["type", "int", "float", "nest", "digits", "trig"]))
+    kind = draw(st.sampled_from(["type", "int", "float", "nest", "digits", "trig", "exponent"]))
     if kind == "type":
         value = draw(st.sampled_from([None, True, False, 0, -1, 0.5, "", "x", "1", [], {},
                                       [old], {"a": old}, json.dumps(old)]))
@@ -479,6 +479,10 @@ def _fragments(draw, old):
         if isinstance(old, dict):
             return json.dumps({_foreign_digits(k, digits): v for k, v in old.items()})
         return json.dumps(_foreign_digits(old, digits))
+    if kind == "exponent":  # each side of 2^53, and past the 4300 digits int() reads
+        exponent = draw(st.sampled_from([str(2 ** 53 - 1), str(2 ** 53), f"-{2 ** 53}", "9" * 20,
+                                         "9" * 309, "9" * 5000, "0" * 5000 + "3"]))
+        return json.dumps(f"({old})^{exponent}" if isinstance(old, str) else f"t^{exponent}")
     slope = draw(st.sampled_from(["2047", "2048", "2049", str(2 ** 49 - 1), str(2 ** 49),
                                   "10^20", "1e300", "2^1000"]))
     intercept = draw(st.sampled_from(["0", "1e15", "2^49*pi", "1e300", "-2^60", "10^400"]))
@@ -522,10 +526,31 @@ def _outcome_is_one_line(code, err):
     assert code != 2 or lines, err
 
 
+def _bundled_with(name, members):
+    """JSON text of a bundled scenario with the members at the given pointers replaced."""
+    doc = copy.deepcopy(_BUNDLED[name])
+    for pointer, value in members.items():
+        _set(doc, pointer, value)
+    return json.dumps(doc)
+
+
+# An odd exponent of 20 digits, which a float reads as the even 10^20, making
+# a weight of period 2 look 1-periodic; and one of 309 digits, past the float
+# range.
+_ODD_POWER = "cos(pi*t)^99999999999999999999"
+_EXPONENT_REPRODUCERS = {
+    "exponent-20-digits": _bundled_with("example1", {"/weights/4,4": f"0.5 + 0.25*{_ODD_POWER}",
+                                                     "/weights/4,5": f"0.5 - 0.25*{_ODD_POWER}"}),
+    "exponent-309-digits": _bundled_with("example1", {"/initial/1": "x^" + "9" * 309}),
+}
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_mutated_scenarios())
 @example(("[" * 100000 + "]" * 100000, ("validate",)))
 @example(('{"graph": ' + '{"a": ' * 5000 + "1" + "}" * 5000 + "}", ("validate",)))
+@example((_EXPONENT_REPRODUCERS["exponent-20-digits"], ("period", "--samples", "8")))
+@example((_EXPONENT_REPRODUCERS["exponent-309-digits"], ("validate",)))
 def test_mutated_bundled_scenarios_fail_in_at_most_one_line(tmp_path_factory, case):
     text, command = case
     work = tmp_path_factory.mktemp("mutated")
@@ -538,6 +563,23 @@ def test_mutated_bundled_scenarios_fail_in_at_most_one_line(tmp_path_factory, ca
         code = main(argv + ["--scenario", str(work / "scenario.json")])
     _outcome_is_one_line(code, err.getvalue())
     assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("text,pointer", [
+    (_EXPONENT_REPRODUCERS["exponent-20-digits"], "/weights/4,4"),
+    (_EXPONENT_REPRODUCERS["exponent-309-digits"], "/initial/1"),
+    (_bundled_with("example1", {"/initial/1": "x^" + "9" * 5000}), "/initial/1"),
+    (_bundled_with("junction", {f"/junctions/{i}/vertex": 99 for i in range(4)}),
+     "/junctions/0/vertex"),
+], ids=["exponent-20-digits", "exponent-309-digits", "exponent-5000-digits", "junction-vertex-99"])
+def test_refused_exponents_and_junction_vertices_fail_in_one_line(tmp_path, text, pointer):
+    (tmp_path / "scenario.json").write_text(text)
+    for command in _FUZZ_COMMANDS:
+        done = run_process(list(command) + ["--scenario", "scenario.json"], tmp_path)
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr.startswith(f"error: {pointer}: ") and done.stderr.count("\n") == 1
+        assert ("exponent must be below 2^53 in magnitude" in done.stderr
+                or "'vertex' must be the head of every 'in' edge" in done.stderr), done.stderr
 
 
 @pytest.mark.parametrize("pointer,fragment,command", [

@@ -15,6 +15,7 @@ from flownet.expr import (
     Power,
     Trig,
     Var,
+    _affine_in_var,
     _nodes,
     critical_times,
     depends_on_var,
@@ -122,6 +123,29 @@ def test_non_integer_exponent_rejected():
         parse_expr("t^0.5")
 
 
+@pytest.mark.parametrize("source,offset", [
+    ("cos(pi*t)^99999999999999999999", 10), ("t^9007199254740992", 2),
+    ("t^-9007199254740992", 3), ("t^" + "9" * 309, 2), ("t^" + "9" * 5000, 2),
+    ("1 + t^" + "0" * 5000 + "9007199254740992", 6),
+], ids=["20-digits", "2**53", "minus-2**53", "309-digits", "5000-digits", "leading-zeros"])
+def test_exponents_from_2_53_on_are_refused_at_their_offset(source, offset):
+    # a float reads 10^20 - 1 as the even 10^20, and overflows past 308 digits
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(source)
+    assert err.value.position == offset
+    assert str(err.value) == f"exponent must be below 2^53 in magnitude (offset {offset})"
+
+
+@pytest.mark.parametrize("source,exponent", [
+    ("t^9007199254740991", 2 ** 53 - 1), ("t^-9007199254740991", 1 - 2 ** 53),
+    ("t^" + "0" * 5000 + "3", 3), ("t^0", 0), ("t^-007", -7),
+], ids=["2**53-1", "1-2**53", "leading-zeros", "zero", "minus-007"])
+def test_exponents_below_2_53_are_read_exactly(source, exponent):
+    assert parse_expr(source) == Power(Var("t"), exponent)
+    # below 2^53 a float power keeps the exponent's parity
+    assert eval_expr(parse_expr(source), -1.0) == (-1) ** (exponent % 2)
+
+
 def test_unary_minus_binds_before_power_per_grammar():
     # atom := '-' atom, factor := atom ('^' int)?, so -t^2 squares the negation
     assert eval_expr(parse_expr("-t^2"), 3.0) == 9.0
@@ -172,6 +196,12 @@ def test_unary_minus_binds_before_power_per_grammar():
         ("sin(2*pi*t + 1768000000000000)", True),
         ("sin(2*pi*t + 1769000000000000)", False),
         ("cos(2*pi*t + cos(10^20))^2", True),
+        # evaluate folds the divisor to inf, as the schedule table does, so the weight
+        # read is cos(0) = 1; 2^1100 raises in evaluate, so that line stays unknown
+        ("cos(pi*t/(2 + sin(1))^1000)", True),
+        ("cos(pi*t/2^1100)", False),
+        ("cos(pi*t)^9007199254740991", False),
+        ("cos(pi*t)^9007199254740990", True),
     ],
 )
 def test_periodicity_checker(source, expected):
@@ -237,6 +267,21 @@ def test_periodicity_checker_implies_unit_shift_invariance(e):
         return
     now, later = np.broadcast_to(now, ts.shape), np.broadcast_to(later, ts.shape)
     assert np.abs(later - now).max() <= 1e-12 * (1.0 + np.abs(now).max())
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(e=EXPRS)
+def test_affine_lines_are_what_evaluate_computes(e):
+    ts = np.linspace(-2.0, 2.0, 9)
+    for node in _nodes(e):
+        line = _affine_in_var(node)
+        if line is None or not all(map(math.isfinite, line)):
+            continue
+        with np.errstate(all="ignore"):
+            values = np.broadcast_to(eval_expr(node, ts), ts.shape)
+        slope, intercept = line
+        assert np.allclose(values, slope * ts + intercept, rtol=1e-12,
+                           atol=1e-12 * (abs(slope) + abs(intercept))), (node, line)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

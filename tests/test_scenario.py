@@ -108,6 +108,41 @@ def test_junction_edges_must_be_integers(key, edge):
     assert err.value.pointer == f"/junctions/0/{key}"
 
 
+@pytest.mark.parametrize("vertex", [99, "hello", 2, 0, -1, 1.0, True, None, [1]],
+                         ids=["99", "hello", "2", "0", "-1", "1.0", "true", "null", "list"])
+def test_junction_vertex_must_meet_every_edge(vertex):
+    doc = json.loads(bundled_scenario_path("junction").read_text())
+    for junction in doc["junctions"]:
+        junction["vertex"] = vertex
+    with pytest.raises(ScenarioError, match="'vertex' must be the head of every 'in' edge") as err:
+        scenario_from_dict(doc)
+    assert err.value.pointer == "/junctions/0/vertex"
+
+
+def test_junction_vertex_is_checked_against_both_edge_lists():
+    doc = json.loads(bundled_scenario_path("junction").read_text())
+    doc["junctions"][1]["out"] = [3]  # edge 3 runs 1 -> 2: its head is 2, its tail is not
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.pointer == "/junctions/1/vertex"
+    del doc["junctions"][1]["vertex"]  # without the key, the adjacency check names the block
+    with pytest.raises(ScenarioError, match="does not match the successors") as err:
+        scenario_from_dict(doc)
+    assert err.value.pointer == "/junctions"
+
+
+def test_junction_vertex_is_optional_and_leaves_edges_outside_the_graph_to_the_embedding():
+    doc = json.loads(bundled_scenario_path("junction").read_text())
+    for junction in doc["junctions"]:
+        del junction["vertex"]
+    assert scenario_from_dict(doc).matrix.entries == load_scenario("junction").matrix.entries
+    doc["junctions"][0]["vertex"] = 1
+    doc["junctions"][0]["in"] = [1, 99]
+    with pytest.raises(ScenarioError, match="incoming edge 99 outside 1..6") as err:
+        scenario_from_dict(doc)
+    assert err.value.pointer == "/junctions"
+
+
 def test_a_divisor_that_vanishes_off_the_grid_still_loads(tmp_path):
     # load evaluates on no points, and the midpoint grid never reaches x = 0
     doc = helpers.base_flow_scenario()
@@ -348,13 +383,15 @@ def test_summary_is_json_serializable():
 
 # (2*x)^5000 overflows to inf for x > 0.58, which a min() alone does not see
 @pytest.mark.parametrize("density,least", [("x - 0.5", 0.5 / 64 - 0.5),
-                                           ("(2*x)^5000", np.nan)],
-                         ids=["negative", "overflow"])
+                                           ("(2*x)^5000", np.nan),
+                                           ("-(2*x)^5000", np.nan),
+                                           ("(2*x)^5000 - (2*x)^5000", np.nan)],
+                         ids=["negative", "overflow", "negative-overflow", "undefined"])
 def test_validation_summary_flags_negative_initial_density(tmp_path, capsys, density, least):
     doc = helpers.base_flow_scenario()
     doc["initial"]["1"] = density
     path = helpers.write_scenario(tmp_path, doc)
-    with np.errstate(over="ignore"):  # the overflow is the case under test
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the case under test
         summary = validation_summary(load_scenario(path))
     np.testing.assert_equal(summary["initial_min_density"], least)
     assert not summary["passed"]

@@ -154,9 +154,8 @@ def test_survey_checks_each_distinct_pattern_once(monkeypatch):
     import flownet.spectral as spectral
 
     checked = []
-    strongly_connected = spectral.is_strongly_connected
-    monkeypatch.setattr(spectral, "is_strongly_connected",
-                        lambda adj: checked.append(adj) or strongly_connected(adj))
+    index = spectral.cyclic_index
+    monkeypatch.setattr(spectral, "cyclic_index", lambda adj: checked.append(adj) or index(adj))
     M = switching_self_loop_matrix()
     times = [0.0, 0.25, 0.5, 0.75, 1.0]
     survey = spectral._survey_support(M, times, 1e-12)
