@@ -148,9 +148,17 @@ class InitialData:
         return len(self.profiles)
 
     def evaluate(self, x) -> np.ndarray:
-        """Values of every profile at the given positions, shape (m, len(x))."""
+        """Values of every profile at the given positions, shape (m, len(x)).
+
+        Each profile's values are broadcast into its row of one result array:
+        a constant expression fills its row from one float, with no per-profile
+        copy.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.stack([p(x) for p in self.profiles])
+        out = np.empty((self.m,) + x.shape)
+        for row, p in zip(out, self.profiles):
+            row[...] = ex.evaluate(p.expr, x) if isinstance(p, ExprProfile) else p(x)
+        return out
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,10 @@ def build_graph(edge_list, n: int) -> NetworkGraph:
 
 
 def line_graph_adjacency(g: NetworkGraph) -> np.ndarray:
-    """Read-only 0/1 edge adjacency b of the line graph: the support of phi_minus^T phi_plus."""
-    b = (g.phi_minus.T @ g.phi_plus > 0).astype(np.int64)
+    """Read-only 0/1 edge adjacency b of the line graph: the support of phi_minus^T phi_plus,
+    b[k, l] = 1 where the tail of edge k is the head of edge l."""
+    tails, heads = np.array(g.edges).T
+    b = (tails[:, None] == heads).astype(np.int64)
     b.setflags(write=False)
     return b
 

@@ -129,14 +129,18 @@ def _parse_weight(source, pointer: str, memo: dict, var: str = "t") -> ex.Expr:
     variable comes out empty, so only the faults that no grid escapes (a
     constant that overflows, a constant zero divisor) are raised, here at
     pointer rather than later without it. memo holds one document's Exprs by
-    (source, var): a repeat shares one, a bad source fails at its first pointer."""
+    (source, var): a repeat shares one, a bad source fails at its first pointer.
+    The error quotes a source past 60 characters by its first 60 and its
+    length; the offset in the message still locates the fault."""
     _require(isinstance(source, str), "expression must be a string", pointer)
     if (source, var) not in memo:
         try:
             e = ex.parse_expr(source, var=var)
             ex.evaluate(e, np.empty(0))
         except (ExprSyntaxError, ExprEvalError) as err:
-            raise ScenarioError(f"bad expression {source!r}: {err}", pointer) from err
+            quoted = (repr(source) if len(source) <= 60
+                      else f"{source[:60]!r}… ({len(source)} characters)")
+            raise ScenarioError(f"bad expression {quoted}: {err}", pointer) from err
         memo[source, var] = e
     return memo[source, var]
 

@@ -399,10 +399,13 @@ def validate_stochastic(M: TimeVaryingMatrix, grid, tol: float) -> ValidationRep
         witness_value=min_entry,
     )
 
-    # from zero in (row, column) order, as a dense sum over rows adds them
-    sums = np.zeros((len(grid), M.dim))
+    # from zero in (row, column) order, as a dense sum over rows adds them;
+    # summed along contiguous rows of the transposed table, read through .T
+    columns = np.ascontiguousarray(table.T)
+    sums = np.zeros((M.dim, len(grid)))
     for _, l, j in M._nonzeros.tolist():
-        sums[:, l] += table[:, j]
+        sums[l] += columns[j]
+    sums = sums.T
     dev = np.abs(sums - 1.0)
     g_idx, l_idx = np.unravel_index(np.argmax(dev), dev.shape)
     worst_dev = float(dev[g_idx, l_idx])

@@ -16,8 +16,9 @@ expressions, and tells patterns apart by the table rows' entries above
 zero_tol; each distinct pattern is built, hashed and checked once.
 validation_summary, asymptotic_period and, through the period report,
 strictly_positive_shortcut all read that one survey; asymptotic_period runs
-each sample's eigensolve on the survey's table, one dense matrix (C, or M for
-an allocation schedule) at a time.
+the eigensolves on the survey's table, one stack of dense matrices (C, or M
+for an allocation schedule) per chunk of samples, each chunk at most
+evolution._CHUNK_BYTES of matrices.
 
 convergence_diagnostic measures how fast the flow settles: the L1 distance
 delta(t) between u(t) and u(t + tau), read off the differences
@@ -35,7 +36,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import EvolutionError, GraphError, HypothesisError, SpectralError
-from .evolution import _MAX_POINTS, _MAX_SPAN, InitialData, _tau_differences, csv_file
+from .evolution import (
+    _CHUNK_BYTES, _MAX_POINTS, _MAX_SPAN, InitialData, _tau_differences, csv_file,
+)
 from .graph import cyclic_index
 from .schedules import TimeVaryingMatrix, support_pattern
 
@@ -43,18 +46,23 @@ from .schedules import TimeVaryingMatrix, support_pattern
 _PERIPHERAL_EPS = 1e-6
 
 
-def peripheral_count(A: np.ndarray) -> int:
+def peripheral_count(A: np.ndarray) -> int | list[int]:
     """Eigenvalues of modulus at least 1 - _PERIPHERAL_EPS, with multiplicity.
 
     Requires a column-stochastic matrix (unit spectral radius); for an
-    irreducible one these are exactly the h-th roots of unity.
+    irreducible one these are exactly the h-th roots of unity. A stack of
+    shape (k, n, n) gives a list of k counts, those of its matrices one by
+    one, from one eigensolve call; a failing check reports the first failing
+    matrix of the stack.
     """
     A = np.asarray(A, dtype=float)
-    col_dev = np.abs(A.sum(axis=0) - 1.0).max()
-    if not col_dev <= 1e-9:  # NaN too
-        raise SpectralError(f"matrix is not column-stochastic (column sum off by {col_dev:.3e})")
-    eigenvalues = np.linalg.eigvals(A)
-    return int(np.sum(np.abs(eigenvalues) >= 1.0 - _PERIPHERAL_EPS))
+    col_dev = np.abs(A.sum(axis=-2) - 1.0).max(axis=-1)
+    failing = ~(col_dev <= 1e-9)  # NaN too
+    if failing.any():
+        raise SpectralError("matrix is not column-stochastic "
+                            f"(column sum off by {col_dev[failing].flat[0]:.3e})")
+    counts = np.sum(np.abs(np.linalg.eigvals(A)) >= 1.0 - _PERIPHERAL_EPS, axis=-1)
+    return counts.tolist()
 
 
 def pattern_hash(pattern: np.ndarray) -> str:
@@ -191,15 +199,21 @@ def asymptotic_period(
         )
     # C = H W shares M's nonzero spectrum, so it has M's peripheral count
     factors = M.vertex_factors
-    square = M.scatter if factors is None else lambda rows: factors.transfer(factors.weights(rows))
+    n = M.dim if factors is None else factors.n
+    step = max(1, _CHUNK_BYTES // (8 * n * n))
+    counts = []
+    for lo in range(0, len(survey.table), step):
+        rows = survey.table[lo:lo + step]
+        counts += peripheral_count(M.scatter(rows) if factors is None
+                                   else factors.transfer(factors.weights(rows)))
     samples = tuple(
         PeriodSample(
             time=float(t),
             pattern_hash=digest,
             cyclic_index=survey.cyclic_indices[digest],
-            peripheral_count=peripheral_count(square(row[None])[0]),
+            peripheral_count=count,
         )
-        for t, digest, row in zip(sample_times, survey.hashes, survey.table)
+        for t, digest, count in zip(sample_times, survey.hashes, counts)
     )
     tau = math.lcm(*(s.cyclic_index for s in samples))
     return PeriodReport(samples=samples, tau=tau, distinct_patterns=survey.patterns)
@@ -209,13 +223,15 @@ def strictly_positive_shortcut(M: TimeVaryingMatrix, report: PeriodReport) -> in
     """The period of a report whose only support pattern is the static adjacency.
 
     When no sampled weight ever vanishes, the support pattern never changes
-    and the period equals the cycle-length gcd of the static network, which
-    is then the report's tau. Returns None when the report saw any other
-    pattern, in which case the general per-time formula must be used.
+    and the period equals the cycle-length gcd of the static network (on its
+    edges with inflow). That index is computed here from M.adjacency, apart
+    from the report's survey, so it cross-checks the report's tau. Returns
+    None when the report saw any other pattern, in which case the general
+    per-time formula must be used.
     """
     patterns = list(report.distinct_patterns.values())
     if len(patterns) == 1 and np.array_equal(patterns[0], M.adjacency):
-        return report.tau
+        return cyclic_index(active_subpattern(M.adjacency)[1])
     return None
 
 

@@ -18,6 +18,7 @@ import flownet
 import helpers
 from flownet import cli
 from flownet.cli import build_parser, main
+from flownet.scenario import scenario_from_dict
 
 
 def run(capsys, argv):
@@ -415,6 +416,27 @@ def test_malformed_scenario_fails_in_one_line(tmp_path, pointer, value, needle):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
     assert needle in done.stderr
+
+
+@pytest.mark.parametrize("pointer,source,fault", [
+    ("/initial/1", "x^" + "9" * 5000, "exponent must be below 2^53 in magnitude (offset 2)"),
+    ("/weights/1,1", "1" + "+0" * 5000, "expression nests deeper than 64 levels (offset 127)"),
+], ids=["initial-5000-digit-exponent", "weight-5000-term-sum"])
+def test_a_long_bad_expression_is_quoted_shortened(tmp_path, pointer, source, fault):
+    doc = helpers.set_at(helpers.base_flow_scenario(), pointer, source)
+    helpers.write_scenario(tmp_path, doc)
+    done = run_process(["validate", "--scenario", "scenario.json"], tmp_path)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (f"error: {pointer}: bad expression {source[:60]!r}… "
+                           f"({len(source)} characters): {fault}\n")
+    assert len(done.stderr.encode()) < 200
+
+
+def test_a_60_character_bad_expression_is_quoted_whole():
+    source = "1" + "+" * 59
+    with pytest.raises(flownet.ScenarioError) as err:
+        scenario_from_dict(helpers.set_at(helpers.base_flow_scenario(), "/initial/1", source))
+    assert f"bad expression {source!r}: " in str(err.value)
 
 
 # Mutations of the bundled scenarios. A mutation replaces one member with a

@@ -20,6 +20,7 @@ from flownet import (
 )
 from flownet import evolution
 from flownet.evolution import PiecewiseProfile, _evolve, midpoints
+from flownet.expr import parse_expr
 
 
 def example1_setup():
@@ -503,3 +504,36 @@ def test_field_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == pytest.approx(0.05)
+
+
+# Profiles for the evaluate property: constants, x-dependent ones, a constant
+# and an x-dependent one that overflow to inf, and piecewise ones.
+_PROFILE_POOL = (
+    tuple(evolution.ExprProfile(parse_expr(s, var="x")) for s in (
+        "1", "2.5", "0", "0.5 + 0.25*sin(pi*x)", "x^3 - x", "cos(2*pi*x)^2",
+        "10^200*10^200", "(1 + x)^2000")) + (
+    PiecewiseProfile((0.0, 1.0), (3.0,)),
+    PiecewiseProfile((0.0, 0.25, 0.5, 1.0), (2.0, 0.5, 1.5)),
+))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(picks=st.lists(st.integers(0, len(_PROFILE_POOL) - 1), min_size=1, max_size=12),
+       x=st.integers(1, 600).map(midpoints) | st.floats(0.0, 1.0))
+def test_evaluate_equals_stacking_each_profile(picks, x):
+    # the pool's objects repeat in a draw, as shared Exprs do after the parse memo
+    f = InitialData(tuple(_PROFILE_POOL[i] for i in picks))
+    with np.errstate(over="ignore"):
+        got = f.evaluate(x)
+        want = np.stack([p(np.atleast_1d(x)) for p in f.profiles])
+    assert got.shape == want.shape == (len(picks), np.size(x))
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+
+def test_evaluate_overflowing_profiles_give_inf():
+    f = InitialData(tuple(_PROFILE_POOL[6:8]))
+    with np.errstate(over="ignore"):
+        values = f.evaluate(midpoints(4))
+    assert np.isinf(values[0]).all()
+    assert np.isfinite(values[1, :1]).all() and np.isinf(values[1, -1])

@@ -4,6 +4,8 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from flownet import (
@@ -133,6 +135,23 @@ def test_vertex_relabeling_leaves_line_graph_unchanged():
 def test_line_graph_adjacency_is_a_read_only_int64_array():
     b = line_graph_adjacency(helpers.example1_graph())
     assert isinstance(b, np.ndarray) and b.dtype == np.int64 and not b.flags.writeable
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), max_m=st.integers(2, 12))
+def test_line_graph_adjacency_is_the_incidence_product_support(seed, max_m):
+    # random_strong_graph draws self-loops and parallel edges among its extras
+    g = helpers.random_strong_graph(random.Random(seed), max_m)
+    b = line_graph_adjacency(g)
+    want = (g.phi_minus.T @ g.phi_plus > 0).astype(np.int64)
+    assert b.dtype == np.int64 and b.flags.c_contiguous and not b.flags.writeable
+    assert b.shape == want.shape and b.tobytes() == want.tobytes()
+
+
+def test_line_graph_adjacency_of_self_loops_and_parallel_edges():
+    # e1, e2: parallel 1 -> 2; e3: 2 -> 1; e4: self-loop at 2
+    b = line_graph_adjacency(build_graph([(1, 2), (1, 2), (2, 1), (2, 2)], 2))
+    assert b.tolist() == [[0, 0, 1, 0], [0, 0, 1, 0], [1, 1, 0, 1], [1, 1, 0, 1]]
 
 
 def test_edge_irreducibility_equals_vertex_strong_connectivity():

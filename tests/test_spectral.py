@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from flownet import (
@@ -20,7 +22,8 @@ from flownet import (
     strictly_positive_shortcut,
     validate_stochastic,
 )
-from flownet.spectral import active_subpattern
+from flownet.scenario import load_scenario
+from flownet.spectral import PeriodReport, active_subpattern
 
 
 def example1_matrix():
@@ -52,6 +55,68 @@ def test_peripheral_count_examples_match_cyclic_index():
     M2 = example2_matrix()
     assert peripheral_count(M2.at(0.25)) == 2
     assert cyclic_index(M2.adjacency) == 2
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 9), k=st.integers(1, 6))
+def test_peripheral_count_of_a_stack_equals_the_loop(seed, m, k):
+    rng = random.Random(seed)
+    stack = np.stack([helpers.random_imprimitive_stochastic(rng, m)[0] for _ in range(k)])
+    counts = peripheral_count(stack)
+    assert isinstance(counts, list) and all(type(c) is int for c in counts)
+    assert counts == [peripheral_count(A) for A in stack]
+    assert type(peripheral_count(stack[0])) is int
+
+
+def _first_loop_error(stack) -> str:
+    for A in stack:
+        try:
+            peripheral_count(A)
+        except SpectralError as err:
+            return str(err)
+    raise AssertionError("no matrix of the stack fails")
+
+
+@pytest.mark.parametrize("bad", [
+    ("nan", "off"), ("off", "nan"), ("nan", "nan"), ("off", "off"), ("inf", "off"),
+])
+def test_a_stack_reports_its_first_failing_matrix(bad):
+    good = np.array([[0.0, 1.0], [1.0, 0.0]])
+    failing = {"nan": np.array([[1.0, 0.0], [0.0, np.nan]]),
+               "off": np.array([[0.5, 0.0], [0.0, 1.0 + 2.5e-3]]),
+               "inf": np.array([[1.0, 0.0], [np.inf, 1.0]])}
+    stack = np.stack([good, failing[bad[0]], good, failing[bad[1]] * 0.5 + good * 0.5, good])
+    expected = _first_loop_error(stack)
+    with pytest.raises(SpectralError) as err:
+        peripheral_count(stack)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, 3, None])
+@pytest.mark.parametrize("which", ["example1", "example2", "junction", "random-flow"])
+def test_asymptotic_period_chunks_change_no_count(monkeypatch, which, per_chunk):
+    import flownet.spectral as spectral
+
+    if which == "random-flow":
+        rng = random.Random(7)
+        g = helpers.random_strong_graph(rng)
+        M = assemble_weighted_adjacency(g, helpers.random_flow_weights(rng, g))
+    else:
+        M = load_scenario(which).matrix
+    times = default_sample_times(M)
+    whole = asymptotic_period(M, times)
+    n = M.dim if M.vertex_factors is None else M.vertex_factors.n
+    if per_chunk is None:  # the default budget holds every sample of these small n
+        per_chunk = len(times)
+    else:
+        monkeypatch.setattr(spectral, "_CHUNK_BYTES", 8 * n * n * per_chunk)
+    shapes = []
+    monkeypatch.setattr(spectral, "peripheral_count",
+                        lambda A: shapes.append(A.shape) or peripheral_count(A))
+    chunked = asymptotic_period(M, times)
+    assert (chunked.samples, chunked.tau) == (whole.samples, whole.tau)
+    assert shapes == [(min(per_chunk, len(times) - lo), n, n)
+                      for lo in range(0, len(times), per_chunk)]
 
 
 def test_asymptotic_period_example1():
@@ -121,6 +186,14 @@ def test_shortcut_needs_the_static_adjacency_not_just_one_pattern():
     assert strictly_positive_shortcut(M, report) is None
 
 
+def test_shortcut_is_the_static_index_not_the_reports_tau():
+    M = example1_matrix()
+    report = asymptotic_period(M)
+    wrong = PeriodReport(samples=report.samples, tau=7,
+                         distinct_patterns=dict(report.distinct_patterns))
+    assert strictly_positive_shortcut(M, wrong) == 1
+
+
 def test_shortcut_samples_nothing(monkeypatch):
     import flownet.spectral as spectral
 
@@ -128,11 +201,11 @@ def test_shortcut_samples_nothing(monkeypatch):
     report = asymptotic_period(M)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the shortcut must be read off the report")
+        raise AssertionError("the shortcut must read the report's patterns, not sample")
 
     monkeypatch.setattr(spectral, "support_pattern", forbidden)
-    monkeypatch.setattr(spectral, "cyclic_index", forbidden)
     monkeypatch.setattr(type(M), "at", forbidden)
+    monkeypatch.setattr(type(M), "table", forbidden)
     assert strictly_positive_shortcut(M, report) == 1
 
 
